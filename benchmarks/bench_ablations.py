@@ -1,4 +1,5 @@
-"""Ablations of PNW's design choices (DESIGN.md §8 — beyond the paper).
+"""Ablations of PNW's design choices — beyond the paper (how to run and
+where the tables land: README.md, "Tests and benchmarks").
 
 Four knobs the paper fixes (or leaves ambiguous) are swept here:
 

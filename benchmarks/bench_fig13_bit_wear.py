@@ -9,8 +9,8 @@ def test_fig13(benchmark):
     # The paper's headline: more clusters -> items within a cluster are
     # more similar -> each write flips fewer bits, so the k=30 CDF sits
     # above the k=5 CDF.  Our image families separate well even at low k,
-    # so the contrast is clearest at the low thresholds (see
-    # EXPERIMENTS.md for the magnitude discussion).
+    # so the contrast is clearest at the low thresholds (the saved
+    # results/fig13.txt table holds the measured magnitudes).
     assert rows[30]["P(X<=1)"] >= rows[5]["P(X<=1)"] - 0.02
     assert rows[30]["P(X<=2)"] >= rows[5]["P(X<=2)"] - 0.02
     for row in rows.values():

@@ -69,11 +69,6 @@ def build_store(args, backend: str):
     return store
 
 
-def media_stats_of(store):
-    stats = store.media_stats
-    return stats() if callable(stats) else stats
-
-
 def drive_store(args, store) -> tuple[dict[bytes, bytes], int, int]:
     """Hostile put/update stream in batches; returns (acked oracle,
     acked op count, op index of the first retirement or -1)."""
@@ -107,7 +102,7 @@ def drive_store(args, store) -> tuple[dict[bytes, bytes], int, int]:
             keys.extend(key for key, _ in batch)
         acked.update(batch)
         ops_acked += len(batch)
-        if first_retirement < 0 and media_stats_of(store).rows_retired > 0:
+        if first_retirement < 0 and store.media_stats.rows_retired > 0:
             first_retirement = ops_acked
     return acked, ops_acked, first_retirement
 
@@ -133,7 +128,7 @@ def store_grid(args, result: ExperimentResult) -> list[str]:
             store.crash()
             store.recover()
             unreadable_after = check_survival(store, acked)
-            stats = media_stats_of(store)
+            stats = store.media_stats
             survival = 1.0 - (unreadable + unreadable_after) / max(1, 2 * len(acked))
             result.add_row(
                 f"store/{backend}", ops_acked, f"{survival:.1%}",
@@ -146,9 +141,7 @@ def store_grid(args, result: ExperimentResult) -> list[str]:
                     f"(+{unreadable_after} after crash/recover) of {len(acked)}"
                 )
         finally:
-            closer = getattr(store, "close", None)
-            if closer is not None:
-                closer()
+            store.close()
     return failures
 
 

@@ -41,7 +41,7 @@ import sys
 
 import numpy as np
 
-from repro import AsyncIngestQueue, PNWConfig, make_store
+from repro import AsyncIngestQueue, PNWConfig, TieredStore, make_store
 from repro.errors import (
     DeadlineExceededError,
     DegradedModeError,
@@ -218,6 +218,7 @@ class KVServer:
         tier is configured) its hit/flush accounting."""
         core = self.queue.queue
         store = core.store
+        router = store.router_stats()  # None for a single-zone store
         return {
             "served": self.served,
             "ingest": {
@@ -228,42 +229,19 @@ class KVServer:
                 "max_pending": core.max_pending,
                 "batches_dispatched": core.batches_dispatched,
             },
-            "media": self._media_stats(store),
+            "media": {**store.media_stats.as_dict(),
+                      "degraded": store.degraded},
             "tier": (
                 store.tier_stats.as_dict()
-                if hasattr(store, "tier_stats")
+                if isinstance(store, TieredStore)
                 else None
             ),
-            "router": self._router_stats(store),
+            "router": (
+                None if router is None
+                else {**router.as_dict(),
+                      "routing_epoch": store.routing_epoch}
+            ),
         }
-
-    @staticmethod
-    def _router_stats(store) -> dict | None:
-        """Routing/rebalancing counters of a sharded (or tiered-over-
-        sharded) store: per-shard routed ops, bucket moves, migrated
-        keys, migration batch retries.  ``None`` for single-zone."""
-        stats = getattr(store, "router_stats", None)
-        if stats is None:
-            return None
-        snapshot = stats()
-        if snapshot is None:
-            return None
-        block = snapshot.as_dict()
-        block["routing_epoch"] = getattr(store, "routing_epoch", 0)
-        return block
-
-    @staticmethod
-    def _media_stats(store) -> dict | None:
-        """Media-health counters of whatever store backs the queue
-        (plain attribute, sharded/tiered merge method, or absent)."""
-        stats = getattr(store, "media_stats", None)
-        if stats is None:
-            return None
-        if callable(stats):
-            stats = stats()
-        block = stats.as_dict()
-        block["degraded"] = bool(getattr(store, "degraded", False))
-        return block
 
 
 # ---------------------------------------------------------------------- #
@@ -372,8 +350,7 @@ async def run_demo(args) -> int:
               f"{stats['misses']} expected-404)")
         print(f"read-your-write mismatches={stats['mismatches']}")
         print(f"server counters: {payload.decode()}")
-    if hasattr(store, "close"):
-        store.close()
+    store.close()
     return 1 if stats["mismatches"] else 0
 
 

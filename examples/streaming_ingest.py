@@ -79,22 +79,14 @@ def main() -> None:
     print(f"steered writes: mean {np.mean([r.bit_updates for r in puts]):.1f} "
           f"cells programmed per PUT "
           f"(of {config.bucket_bytes * 8} in the bucket)")
-    free = (
-        store.total_free if hasattr(store, "total_free")
-        else store.pool.total_free
-    )
-    print(f"live keys: {len(store)}; free addresses: {free}")
+    print(f"live keys: {len(store)}; free addresses: {store.total_free}")
 
     # Every future resolved to the same OperationReport a direct batch
     # call would have returned — the queue is invisible to accounting.
-    merged = (
-        store.wear_summary() if hasattr(store, "wear_summary")
-        else store.nvm.stats.summary()
-    )
+    merged = store.wear_summary()
     print(f"zone totals: {merged['writes']:.0f} writes, "
           f"{merged['bit_updates']:.0f} cells programmed")
-    if hasattr(store, "close"):
-        store.close()
+    store.close()
 
 
 if __name__ == "__main__":

@@ -16,8 +16,9 @@ Quick start::
     report = store.put(b"sensor-1", b"reading-payload")
     print(report.bit_updates, "cells programmed")
 
-See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-paper-vs-measured results of every table and figure.
+See README.md ("Layout", "Store surface") for the system inventory;
+``python -m repro.bench list`` names every table and figure, and each
+run saves its paper-vs-measured table under ``results/``.
 """
 
 from .core import (

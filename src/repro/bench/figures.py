@@ -6,8 +6,9 @@ crossovers are) and returns an :class:`ExperimentResult`.  Set the
 ``PNW_BENCH_SCALE`` environment variable above 1.0 to grow workloads
 toward paper scale.
 
-The mapping from experiment ids to paper artifacts is DESIGN.md §4;
-observed-vs-paper outcomes are recorded in EXPERIMENTS.md.
+The mapping from experiment ids to paper artifacts is
+``python -m repro.bench list``; observed outcomes are saved under
+``results/`` (README.md, "Tests and benchmarks").
 """
 
 from __future__ import annotations

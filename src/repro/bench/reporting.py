@@ -1,8 +1,8 @@
 """Plain-text rendering and persistence of experiment results.
 
 Benchmarks both print their tables (so ``pytest benchmarks/`` output is a
-readable lab notebook) and save them under ``results/`` for
-EXPERIMENTS.md.
+readable lab notebook) and save them under ``results/`` (README.md,
+"Tests and benchmarks").
 """
 
 from __future__ import annotations

@@ -10,7 +10,8 @@ imports keep working.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+
+from ..nvm.stats import _Counters
 
 __all__ = ["OperationReport", "StoreMetrics", "BUFFERED_ADDRESS"]
 
@@ -71,8 +72,16 @@ class OperationReport:
 
 
 @dataclass
-class StoreMetrics:
-    """Operation counters for one store instance."""
+class StoreMetrics(_Counters):
+    """Operation counters for one store instance.
+
+    :meth:`merge` (inherited, field-generic) is the sharded store's
+    whole-store view: counters sum, ``keep_reports`` ors, and kept
+    reports concatenate part by part (shard order, each shard's own
+    chronological order) — a per-shard timeline, not a global one,
+    because concurrent shard pipelines have no cross-shard operation
+    order.  The result is a snapshot: it does not track the parts.
+    """
 
     puts: int = 0
     gets: int = 0
@@ -86,28 +95,3 @@ class StoreMetrics:
     def record(self, report: OperationReport) -> None:
         if self.keep_reports:
             self.reports.append(report)
-
-    @classmethod
-    def merge(cls, parts: Iterable["StoreMetrics"]) -> "StoreMetrics":
-        """Sum several stores' counters into one merged snapshot.
-
-        The sharded store keeps one :class:`StoreMetrics` per shard; this
-        is the whole-store view.  Kept reports are concatenated part by
-        part (shard order, each shard's own chronological order) — a
-        per-shard timeline, not a global one, because concurrent shard
-        pipelines have no cross-shard operation order.  The result is a
-        snapshot: it does not track the parts afterwards.
-        """
-        parts = list(parts)
-        if not parts:
-            raise ValueError("merge() needs at least one StoreMetrics")
-        merged = cls(keep_reports=any(part.keep_reports for part in parts))
-        for part in parts:
-            merged.puts += part.puts
-            merged.gets += part.gets
-            merged.deletes += part.deletes
-            merged.updates += part.updates
-            merged.retrains += part.retrains
-            merged.fallbacks += part.fallbacks
-            merged.reports.extend(part.reports)
-        return merged

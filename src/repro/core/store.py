@@ -28,6 +28,7 @@ model, and pool purely from NVM state.
 
 from __future__ import annotations
 
+import contextlib
 from typing import Iterable
 
 import numpy as np
@@ -40,7 +41,7 @@ from ..index.path_hashing import PathHashingIndex
 from ..nvm.device import SimulatedNVM
 from ..nvm.faults import FaultModel
 from ..nvm.hybrid import HybridMemory
-from ..nvm.stats import MediaStats
+from ..nvm.stats import MediaStats, WearStats
 from .address_pool import DynamicAddressPool
 from .config import PNWConfig
 from .media import BadRowDirectory, MediaScrubber
@@ -48,6 +49,33 @@ from .model_manager import ModelManager
 from .reports import OperationReport, StoreMetrics
 
 __all__ = ["PNWStore", "OperationReport", "StoreMetrics"]
+
+#: One executed run: its reports, or the error that cut it short.
+RunOutcome = tuple[list[OperationReport] | None, BaseException | None]
+
+
+def execute_runs(store, runs: list[tuple[str, list]]) -> list[RunOutcome]:
+    """The one ordered-run loop behind every ``run_shard_batches``.
+
+    ``runs`` is an ordered list of ``(kind, items)`` where ``kind`` is
+    ``"put"`` / ``"update"`` / ``"delete"`` and ``items`` the matching
+    ``*_many`` argument.  Each run executes in order on ``store`` (a
+    leaf, a shard worker's leaf, or the tier) and yields one
+    ``(reports, error)`` outcome; runs are independent — a failing run
+    does not stop the later ones.
+    """
+    ops = {
+        "put": store.put_many,
+        "update": store.update_many,
+        "delete": store.delete_many,
+    }
+    outcomes: list[RunOutcome] = []
+    for kind, items in runs:
+        try:
+            outcomes.append((ops[kind](items), None))
+        except Exception as exc:  # noqa: BLE001 - outcome-encoded for the caller
+            outcomes.append((None, exc))
+    return outcomes
 
 
 class PNWStore:
@@ -61,7 +89,17 @@ class PNWStore:
     Buffers are used as-is — a fresh segment is zero-filled (the normal
     empty-store state) and a post-crash segment holds the dead worker's
     durable state.
+
+    The leaf also answers the one-lane form of the store surface the
+    shard router, the DRAM tier and the ingest queue speak (one shard,
+    routing epoch 0, nothing to pin, rebalance or close), so wrappers
+    and drivers call it without asking what they were handed.
     """
+
+    #: One lane: a single zone is shard 0 of 1.
+    n_shards = 1
+    #: The routing table never changes (there is none).
+    routing_epoch = 0
 
     def __init__(self, config: PNWConfig, *, zone=None) -> None:
         self.config = config
@@ -422,6 +460,66 @@ class PNWStore:
         :meth:`put_many`.  Returns the per-pair UPDATE reports in order.
         """
         return self.engine.update_many(pairs)
+
+    # ------------------------------------------------------------------ #
+    # the one-lane store surface (what wrappers override or delegate)     #
+    # ------------------------------------------------------------------ #
+
+    def shard_of_key(self, key: bytes) -> int:
+        """Always shard 0 — after validating ``key`` like every router."""
+        KeyIndex.normalize_key(key, self.config.key_bytes)
+        return 0
+
+    def run_shard_batches(
+        self, batches: dict[int, list[tuple[str, list]]]
+    ) -> dict[int, list[RunOutcome]]:
+        """Execute pre-routed ``{shard: [(kind, items), ...]}`` run
+        sequences (the :class:`~repro.ingest.IngestQueue` drain path);
+        see :func:`execute_runs` for the per-run outcome contract."""
+        return {
+            shard_id: execute_runs(self, runs)
+            for shard_id, runs in batches.items()
+            if runs
+        }
+
+    def routing_pin(self):
+        """Nothing to pin: a null context."""
+        return contextlib.nullcontext()
+
+    def rebalance_check(self, ops: int = 1) -> bool:
+        """No siblings to rebalance against."""
+        return False
+
+    def router_stats(self) -> None:
+        """No router; ``None`` (``/stats`` reports ``"router": null``)."""
+        return None
+
+    def wear_stats(self) -> WearStats:
+        """The data zone's wear accounting (live counters, not a copy)."""
+        return self.nvm.stats
+
+    def wear_summary(self) -> dict[str, float]:
+        """Headline counters of the data-zone wear."""
+        return self.nvm.stats.summary()
+
+    @property
+    def total_free(self) -> int:
+        """Free addresses in the pool."""
+        return self.pool.total_free
+
+    def set_keep_reports(self, keep: bool) -> None:
+        """Toggle per-operation report retention (works through every
+        wrapper, unlike assigning to a merged ``metrics`` snapshot)."""
+        self.metrics.keep_reports = keep
+
+    def set_defer_retrain(self, defer: bool) -> None:
+        """Toggle the engine's retrain deferral (the shard rebalancer
+        wraps migration batches in this so a K-Means refit can't stall
+        the quiesced migration window)."""
+        self.engine.defer_retrain = defer
+
+    def close(self) -> None:
+        """Nothing to release; the store stays usable."""
 
     # ------------------------------------------------------------------ #
     # recovery                                                            #

@@ -90,6 +90,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..core.reports import OperationReport
+from ..core.store import PNWStore
 from ..errors import (
     DeadlineExceededError,
     QueueClosedError,
@@ -98,7 +99,6 @@ from ..errors import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..core.store import PNWStore
     from ..shard.store import ShardedPNWStore
 
 __all__ = ["IngestQueue"]
@@ -273,10 +273,8 @@ class IngestQueue:
         self.max_pending = max_pending
         self.overload = overload
         self.admission_timeout = admission_timeout
-        self._sharded = hasattr(store, "run_shard_batches")
-        n_lanes = store.n_shards if self._sharded else 1
         #: One pending lane per shard; producers stripe across them.
-        self._lanes = [_Lane() for _ in range(n_lanes)]
+        self._lanes = [_Lane() for _ in range(store.n_shards)]
         self._window = _Window(max_pending)
         #: Producers poke this when a lane becomes non-empty (the
         #: flusher must learn its deadline) or hits the size trigger.
@@ -287,6 +285,14 @@ class IngestQueue:
         #: inline size-trigger drains) so batches reach the store in
         #: take-order.
         self._drain_lock = threading.Lock()
+        #: What :meth:`get` holds: a bare ``PNWStore`` has no lock of
+        #: its own, so reads serialize with dispatch; every wrapper
+        #: locks for itself (per shard, or the tier lock).
+        self._read_lock = (
+            self._drain_lock
+            if isinstance(store, PNWStore)
+            else contextlib.nullcontext()
+        )
         self.batches_dispatched = 0
         self.ops_rejected = 0
         #: Ops re-submitted after their run died to a worker-process
@@ -396,15 +402,8 @@ class IngestQueue:
         other shards' flushes); on a single store it serializes with
         dispatch.  Safe from any thread; allowed on a closed queue.
         """
-        if self._sharded:
+        with self._read_lock:
             return self.store.get(key)
-        with self._drain_lock:
-            return self.store.get(key)
-
-    def _shard_of(self, key: bytes) -> int:
-        if self._sharded:
-            return self.store.shard_of_key(key)
-        return 0
 
     def _admit(self) -> float | None:
         """Take a window slot per the overload policy.
@@ -443,11 +442,11 @@ class IngestQueue:
         # Read the routing epoch *before* routing: if the table changes
         # after this read, the dispatch-time epoch check catches it and
         # re-lanes the op, so a stale lane choice is never executed.
-        epoch = getattr(self.store, "routing_epoch", 0)
-        # Resolve the shard *before* taking a window slot: on a sharded
-        # store this validates the key (shard_of_key raises on bad
-        # type/length), and a rejected key must never consume a slot.
-        lane = self._lanes[self._shard_of(key)]
+        epoch = self.store.routing_epoch
+        # Resolve the shard *before* taking a window slot: this
+        # validates the key (shard_of_key raises on bad type/length),
+        # and a rejected key must never consume a slot.
+        lane = self._lanes[self.store.shard_of_key(key)]
         deadline = self._admit()
         future: Future = Future()
         try:
@@ -459,18 +458,7 @@ class IngestQueue:
                     raise QueueClosedError(
                         "cannot submit to a closed IngestQueue"
                     )
-                runs = lane.runs
-                if (
-                    not runs
-                    or runs[-1].kind != kind
-                    or len(runs[-1].items) >= self.max_batch
-                ):
-                    run = _Run(kind)
-                    run.epoch = epoch
-                    if self.overload == "deadline":
-                        run.deadlines = []
-                    runs.append(run)
-                run = runs[-1]
+                run = self._run_for(lane.runs, kind, epoch)
                 run.epoch = min(run.epoch, epoch)
                 run.items.append(item)
                 run.futures.append(future)
@@ -497,6 +485,22 @@ class IngestQueue:
             # so a paused queue still makes progress under load.
             self.flush()
         return future
+
+    def _run_for(self, runs: list[_Run], kind: str, epoch: int) -> _Run:
+        """The run the next ``kind`` op joins — the one run-cutting
+        rule: a new run when ``runs`` is empty, the kind changes, or the
+        last run reached ``max_batch``."""
+        if (
+            not runs
+            or runs[-1].kind != kind
+            or len(runs[-1].items) >= self.max_batch
+        ):
+            run = _Run(kind)
+            run.epoch = epoch
+            if self.overload == "deadline":
+                run.deadlines = []
+            runs.append(run)
+        return runs[-1]
 
     def flush(self) -> None:
         """Dispatch everything pending and wait for it to execute.
@@ -651,42 +655,21 @@ class IngestQueue:
     worker_retry_backoff = 0.01
 
     def _dispatch_inner(self, batches: dict[int, list[_Run]]) -> None:
-        if self._sharded:
-            self._dispatch_sharded(batches)
-            return
-        ops = {
-            "put": self.store.put_many,
-            "update": self.store.update_many,
-            "delete": self.store.delete_many,
-        }
-        for run in batches.get(0, []):
-            try:
-                reports = ops[run.kind](run.items)
-            except Exception as exc:  # noqa: BLE001 - routed to futures
-                self._resolve(run, None, exc)
-            else:
-                self._resolve(run, reports, None)
-            self.batches_dispatched += 1
-
-    def _dispatch_sharded(self, batches: dict[int, list[_Run]]) -> None:
         # Give the store's rebalancer its shot *before* pinning the
         # routing epoch — a rebalance pass takes the epoch's write side,
         # which a pin held by this same thread would deadlock against.
-        check = getattr(self.store, "rebalance_check", None)
-        if check is not None:
-            check(sum(
-                len(run.items)
-                for runs in batches.values()
-                for run in runs
-            ))
+        self.store.rebalance_check(sum(
+            len(run.items)
+            for runs in batches.values()
+            for run in runs
+        ))
         pending = {shard_id: list(runs) for shard_id, runs in batches.items()}
-        pin = getattr(self.store, "routing_pin", None)
-        with (pin() if pin is not None else contextlib.nullcontext()):
+        with self.store.routing_pin():
             # Runs were laned under the routing epoch their producers
             # observed; if a bucket migration slid in since, re-lane
             # them (in global admission order) under the pinned table.
-            epoch = getattr(self.store, "routing_epoch", None)
-            if epoch is not None and any(
+            epoch = self.store.routing_epoch
+            if any(
                 run.epoch != epoch
                 for runs in pending.values()
                 for run in runs
@@ -756,18 +739,9 @@ class IngestQueue:
         out: dict[int, list[_Run]] = {}
         for seq, kind, item, future, deadline in flat:
             key = item if kind == "delete" else item[0]
-            runs = out.setdefault(self.store.shard_of_key(key), [])
-            if (
-                not runs
-                or runs[-1].kind != kind
-                or len(runs[-1].items) >= self.max_batch
-            ):
-                run = _Run(kind)
-                run.epoch = epoch
-                if self.overload == "deadline":
-                    run.deadlines = []
-                runs.append(run)
-            run = runs[-1]
+            run = self._run_for(
+                out.setdefault(self.store.shard_of_key(key), []), kind, epoch
+            )
             run.seqs.append(seq)
             run.items.append(item)
             run.futures.append(future)

@@ -13,7 +13,8 @@ paper plots: P(X <= x) over the observed counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
+from itertools import zip_longest
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -39,8 +40,40 @@ def cdf_of_counts(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values, cum
 
 
+class _Counters:
+    """Field-generic ``merge`` / ``as_dict`` inherited by the counter
+    dataclasses (:class:`MediaStats`, ``StoreMetrics``, ``TierStats``,
+    ``RouterStats``): a new counter can never be silently under-reported.
+    Per field: ints add, bools ``or``, lists concatenate in part order —
+    or add elementwise when declared ``metadata={"elementwise": True}``."""
+
+    @classmethod
+    def merge(cls, parts: Iterable):
+        """Fold several snapshots into one independent snapshot."""
+        parts = list(parts)
+        if not parts:
+            raise ValueError(f"merge() needs at least one {cls.__name__}")
+        merged = cls()
+        for spec in fields(cls):
+            values = [getattr(part, spec.name) for part in parts]
+            if isinstance(values[0], bool):
+                folded = any(values)
+            elif not isinstance(values[0], list):
+                folded = sum(values)
+            elif spec.metadata.get("elementwise"):
+                folded = [sum(col) for col in zip_longest(*values, fillvalue=0)]
+            else:
+                folded = [item for value in values for item in value]
+            setattr(merged, spec.name, folded)
+        return merged
+
+    def as_dict(self) -> dict:
+        """Flat counter dictionary (for ``/stats`` endpoints and tests)."""
+        return asdict(self)
+
+
 @dataclass
-class MediaStats:
+class MediaStats(_Counters):
     """Counters for the media fault-tolerance layer, one per store.
 
     Mergeable across shards like :class:`WearStats` /
@@ -72,22 +105,6 @@ class MediaStats:
     rows_scrubbed: int = 0
     latent_faults_found: int = 0
     checksum_mismatches: int = 0
-
-    @classmethod
-    def merge(cls, parts: Iterable["MediaStats"]) -> "MediaStats":
-        """Sum per-shard snapshots into one store-wide view."""
-        parts = list(parts)
-        if not parts:
-            raise ValueError("merge() needs at least one MediaStats")
-        merged = cls()
-        for part in parts:
-            for f in fields(cls):
-                setattr(merged, f.name, getattr(merged, f.name) + getattr(part, f.name))
-        return merged
-
-    def as_dict(self) -> dict[str, int]:
-        """Flat counter dictionary (for ``/stats`` endpoints and tests)."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 class WearStats:
@@ -247,15 +264,8 @@ class WearStats:
         if track_bits:
             merged.track_bit_wear = True
             merged.bit_wear = np.vstack([part.bit_wear for part in parts])
-        for part in parts:
-            merged.total_writes += part.total_writes
-            merged.total_reads += part.total_reads
-            merged.total_bit_updates += part.total_bit_updates
-            merged.total_aux_bit_updates += part.total_aux_bit_updates
-            merged.total_words_touched += part.total_words_touched
-            merged.total_lines_touched += part.total_lines_touched
-            merged.total_write_latency_ns += part.total_write_latency_ns
-            merged.total_read_latency_ns += part.total_read_latency_ns
+        for name in cls.INT_TOTALS + cls.FLOAT_TOTALS:
+            setattr(merged, name, sum(getattr(part, name) for part in parts))
         return merged
 
     # ------------------------------------------------------------------ #

@@ -52,12 +52,11 @@ import signal
 import threading
 import weakref
 from collections.abc import ItemsView, KeysView, ValuesView
-from typing import Any, Iterable
+from typing import Any
 
 import numpy as np
 
 from ..core.config import PNWConfig
-from ..core.reports import OperationReport, StoreMetrics
 from ..core.store import PNWStore
 from ..errors import ReproError, WorkerCrashedError
 from ..nvm.shm import SharedZone, ZoneLayout
@@ -111,27 +110,6 @@ def _sanitize(value: Any) -> Any:
     return value
 
 
-def _execute_runs(
-    store: PNWStore, runs: list[tuple[str, list]]
-) -> list[tuple[list[OperationReport] | None, BaseException | None]]:
-    """The worker half of ``run_shard_batches``: ordered ``(kind, items)``
-    runs on this zone's engine, one ``(reports, error)`` outcome per run
-    (runs are independent — a failing run does not stop later runs),
-    with shard-local addresses; the parent globalizes."""
-    ops = {
-        "put": store.put_many,
-        "update": store.update_many,
-        "delete": store.delete_many,
-    }
-    outcomes: list[tuple[list[OperationReport] | None, BaseException | None]] = []
-    for kind, items in runs:
-        try:
-            outcomes.append((ops[kind](items), None))
-        except Exception as exc:  # noqa: BLE001 - outcome-encoded like thread mode
-            outcomes.append((None, exc))
-    return outcomes
-
-
 def _install_sabotage(store: PNWStore, rows_before_kill: int) -> None:
     """Test hook: make the next data-zone multi-row flush write only its
     first ``rows_before_kill`` rows and then SIGKILL this worker —
@@ -165,8 +143,6 @@ def _worker_main(layout: ZoneLayout, shm_name: str, config: PNWConfig,
                 if op == "exit":
                     conn.send(("ok", None))
                     break
-                elif op == "runs":
-                    conn.send(("ok", _execute_runs(store, msg[1])))
                 elif op == "call":
                     target = _resolve(store, msg[1])
                     conn.send(("ok", _sanitize(target(*msg[2], **msg[3]))))
@@ -176,11 +152,6 @@ def _worker_main(layout: ZoneLayout, shm_name: str, config: PNWConfig,
                         conn.send(("ok", ("callable", None)))
                     else:
                         conn.send(("ok", ("value", _sanitize(target))))
-                elif op == "set":
-                    parent_path, _, name = msg[1].rpartition(".")
-                    parent = _resolve(store, parent_path) if parent_path else store
-                    setattr(parent, name, msg[2])
-                    conn.send(("ok", None))
                 elif op == "sabotage":
                     _install_sabotage(store, msg[1])
                     conn.send(("ok", None))
@@ -350,7 +321,7 @@ class ShardProcessClient:
     def is_alive(self) -> bool:
         return self._proc is not None and self._proc.is_alive()
 
-    def shutdown(self, timeout: float = 5.0) -> None:
+    def close(self, timeout: float = 5.0) -> None:
         """Stop the worker and free the shared zone (idempotent)."""
         with self._rpc_lock:
             if self._closed:
@@ -408,99 +379,50 @@ class ShardProcessClient:
         return self._request("get", path)
 
     # ------------------------------------------------------------------ #
-    # PNWStore surface (shard-local addresses; the sharded layer          #
-    # globalizes, exactly as for thread-mode shards)                      #
-    # ------------------------------------------------------------------ #
-
-    def put(self, key: bytes, value) -> OperationReport:
-        return self._call("put", key, value)
-
-    def put_unique(self, key: bytes, value) -> OperationReport:
-        return self._call("put_unique", key, value)
-
-    def put_many(self, pairs: Iterable, *, unique: bool = False):
-        return self._request("call", "put_many", (list(pairs),),
-                             {"unique": unique})
-
-    def update(self, key: bytes, value) -> OperationReport:
-        return self._call("update", key, value)
-
-    def update_many(self, pairs: Iterable):
-        return self._call("update_many", list(pairs))
-
-    def delete(self, key: bytes) -> OperationReport:
-        return self._call("delete", key)
-
-    def delete_many(self, keys: Iterable):
-        return self._call("delete_many", list(keys))
-
-    def get(self, key: bytes) -> bytes:
-        return self._call("get", key)
-
-    def get_many(self, keys: Iterable[bytes]) -> list[bytes]:
-        """Bulk read in one round-trip (the migration copy path)."""
-        return self._call("get_many", list(keys))
-
-    def set_defer_retrain(self, defer: bool) -> None:
-        """Toggle the worker engine's retrain deferral (the rebalancer
-        wraps migration batches in this so a K-Means refit can't stall
-        the quiesced migration window)."""
-        self._request("set", "engine.defer_retrain", bool(defer))
-
-    def warm_up(self, old_data: np.ndarray) -> None:
-        return self._call("warm_up", np.ascontiguousarray(old_data))
-
-    def retrain(self) -> None:
-        return self._call("retrain")
-
-    def crash(self) -> None:
-        return self._call("crash")
-
-    def recover(self) -> None:
-        return self._call("recover")
-
-    def run_sequence(self, runs: list[tuple[str, list]]):
-        """Ordered ``(kind, items)`` runs in one round-trip (the
-        ``run_shard_batches`` drain path)."""
-        return self._request("runs", runs)
-
-    def __len__(self) -> int:
-        return int(self._call("__len__"))
-
-    def __contains__(self, key: bytes) -> bool:
-        return bool(self._call("__contains__", key))
-
-    @property
-    def live_fraction(self) -> float:
-        return float(self._get("live_fraction")[1])
-
-    @property
-    def metrics(self) -> StoreMetrics:
-        """A snapshot of the worker store's counters (and kept reports,
-        with shard-local addresses)."""
-        return self._get("metrics")[1]
-
-    def set_keep_reports(self, keep: bool) -> None:
-        self._request("set", "metrics.keep_reports", bool(keep))
-
-    @property
-    def media_stats(self):
-        """Snapshot of the worker store's media-health counters."""
-        return self._get("media_stats")[1]
-
-    @property
-    def degraded(self) -> bool:
-        """Whether the worker store is shedding writes (media watermark)."""
-        return bool(self._get("degraded")[1])
-
-    def scrub(self, limit: int | None = None) -> dict[str, int]:
-        """One patrol-scrub pass on the worker store."""
-        return self._call("scrub", limit)
-
-    # ------------------------------------------------------------------ #
     # test support                                                        #
     # ------------------------------------------------------------------ #
 
     def sabotage_next_flush(self, rows_before_kill: int) -> None:
         """Arm the deterministic mid-commit SIGKILL (crash tests only)."""
         self._request("sabotage", int(rows_before_kill))
+
+
+# ---------------------------------------------------------------------- #
+# PNWStore surface (shard-local addresses; the sharded layer globalizes,  #
+# exactly as for thread-mode shards) — one round-trip per call            #
+# ---------------------------------------------------------------------- #
+
+#: Leaf methods the client forwards verbatim (arguments must pickle, so
+#: batch arguments are lists).  ``run_shard_batches`` ships a whole run
+#: sequence in one round-trip; ``set_defer_retrain`` /
+#: ``set_keep_reports`` flip flags on the worker-resident objects.
+_RPC_METHODS = (
+    "put", "put_unique", "put_many", "update", "update_many",
+    "delete", "delete_many", "get", "get_many", "run_shard_batches",
+    "warm_up", "retrain", "crash", "recover", "scrub",
+    "set_defer_retrain", "set_keep_reports", "__len__", "__contains__",
+)
+#: Leaf attributes read as snapshots of the worker store's state
+#: (``metrics`` carries kept reports with shard-local addresses).
+_RPC_PROPERTIES = (
+    "live_fraction", "total_free", "metrics", "media_stats", "degraded",
+)
+
+
+def _rpc_method(name: str):
+    def method(self: ShardProcessClient, *args, **kwargs):
+        return self._call(name, *args, **kwargs)
+
+    method.__name__ = name
+    return method
+
+
+def _rpc_property(name: str):
+    return property(lambda self: self._get(name)[1])
+
+
+for _name in _RPC_METHODS:
+    setattr(ShardProcessClient, _name, _rpc_method(_name))
+for _name in _RPC_PROPERTIES:
+    setattr(ShardProcessClient, _name, _rpc_property(_name))
+del _name

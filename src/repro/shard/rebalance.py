@@ -330,14 +330,12 @@ class Rebalancer:
         )
         return free / self._capacities
 
-    def _wear_means(self) -> np.ndarray | None:
-        means = []
-        for shard_id, store in enumerate(self.store.stores):
-            total = getattr(store.nvm.stats, "total_writes", None)
-            if total is None:
-                return None
-            means.append(float(total) / float(self._capacities[shard_id]))
-        return np.array(means, dtype=np.float64)
+    def _wear_means(self) -> np.ndarray:
+        writes = np.array(
+            [store.nvm.stats.total_writes for store in self.store.stores],
+            dtype=np.float64,
+        )
+        return writes / self._capacities
 
     def _should_rebalance(self, free_frac: np.ndarray) -> bool:
         low = self.config.rebalance_low_watermark
@@ -346,7 +344,7 @@ class Rebalancer:
             return True
         if self.config.rebalance_wear_factor > 0.0:
             wear = self._wear_means()
-            if wear is not None and float(wear.max()) > 0.0:
+            if float(wear.max()) > 0.0:
                 floor = max(float(wear.min()), 1.0)
                 if float(wear.max()) / floor > self.config.rebalance_wear_factor:
                     return True
@@ -465,7 +463,7 @@ class Rebalancer:
                     raise
                 self._bump(migration_batches_retried=1)
                 # The respawned worker's engine lost the deferral flag.
-                self._set_defer(recipient_store, True)
+                recipient_store.set_defer_retrain(True)
             except (PoolExhaustedError, DegradedModeError) as exc:
                 committed = [
                     report.key
@@ -534,22 +532,14 @@ class Rebalancer:
     def _deferred_retrain(self, shard_store):
         """Defer retrain checks on one shard for the block (works for
         in-process stores and process clients alike)."""
-        self._set_defer(shard_store, True)
+        shard_store.set_defer_retrain(True)
         try:
             yield
         finally:
             try:
-                self._set_defer(shard_store, False)
+                shard_store.set_defer_retrain(False)
             except WorkerCrashedError:  # pragma: no cover - respawn race
                 pass  # a respawned worker starts with the flag clear
-
-    @staticmethod
-    def _set_defer(shard_store, value: bool) -> None:
-        engine = getattr(shard_store, "engine", None)
-        if engine is not None:
-            engine.defer_retrain = value
-        else:
-            shard_store.set_defer_retrain(value)
 
     def _bump(self, **counts: int) -> None:
         store = self.store

@@ -37,11 +37,11 @@ of it.
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterable
 
 import numpy as np
 
 from ..index.base import _FNV_OFFSET, _FNV_PRIME, KeyIndex, stable_hash64
+from ..nvm.stats import _Counters
 
 __all__ = [
     "ROUTER_SEED",
@@ -240,7 +240,7 @@ class RoutingTable:
 
 
 @dataclasses.dataclass
-class RouterStats:
+class RouterStats(_Counters):
     """Routing-layer counters, mergeable like :class:`WearStats` /
     ``TierStats`` / ``MediaStats``.
 
@@ -260,7 +260,9 @@ class RouterStats:
       delete) and reconciled.
     """
 
-    routed_ops: list[int] = dataclasses.field(default_factory=list)
+    routed_ops: list[int] = dataclasses.field(
+        default_factory=list, metadata={"elementwise": True}
+    )
     bucket_moves: int = 0
     keys_migrated: int = 0
     migration_batches: int = 0
@@ -274,33 +276,3 @@ class RouterStats:
 
     def snapshot(self) -> "RouterStats":
         return dataclasses.replace(self, routed_ops=list(self.routed_ops))
-
-    @classmethod
-    def merge(cls, parts: Iterable["RouterStats"]) -> "RouterStats":
-        """Sum snapshots: scalar counters field-generically, the
-        per-shard ``routed_ops`` list elementwise."""
-        parts = list(parts)
-        if not parts:
-            raise ValueError("merge() needs at least one RouterStats")
-        width = max(len(part.routed_ops) for part in parts)
-        merged = cls(routed_ops=[0] * width)
-        for part in parts:
-            for shard_id, count in enumerate(part.routed_ops):
-                merged.routed_ops[shard_id] += count
-            for spec in dataclasses.fields(cls):
-                if spec.name == "routed_ops":
-                    continue
-                setattr(
-                    merged,
-                    spec.name,
-                    getattr(merged, spec.name) + getattr(part, spec.name),
-                )
-        return merged
-
-    def as_dict(self) -> dict:
-        out = {
-            spec.name: getattr(self, spec.name)
-            for spec in dataclasses.fields(self)
-        }
-        out["routed_ops"] = list(self.routed_ops)
-        return out

@@ -87,12 +87,13 @@ import dataclasses
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from operator import methodcaller
 from typing import Any, Callable, Iterable
 
 import numpy as np
 
 from ..core.config import PNWConfig
-from ..core.store import OperationReport, PNWStore, StoreMetrics
+from ..core.store import OperationReport, PNWStore, RunOutcome, StoreMetrics
 from ..engine.plan import check_unique
 from ..errors import (
     ConfigError,
@@ -283,7 +284,7 @@ class ShardedPNWStore:
         duration, and (c) cannot deadlock — there is no lock cycle.
         Lifecycle bodies must not dispatch onto the shared K/V thread
         pool while quiesced (queued K/V tasks blocked on these locks
-        would sit in front of them); :meth:`_map_shards_quiesced` uses a
+        would sit in front of them); :meth:`_lifecycle` maps on a
         transient pool instead.
         """
         for lock in self._shard_locks:
@@ -293,36 +294,6 @@ class ShardedPNWStore:
         finally:
             for lock in reversed(self._shard_locks):
                 lock.release()
-
-    def _map_shards_quiesced(
-        self, tasks: dict[int, Callable[[], Any]]
-    ) -> tuple[dict[int, Any], dict[int, BaseException]]:
-        """Like :meth:`_map_shards`, but safe while :meth:`_quiesced`:
-        runs on a transient pool so it never queues behind K/V tasks
-        that are blocked on the very shard locks the caller holds."""
-        results: dict[int, Any] = {}
-        errors: dict[int, BaseException] = {}
-        if len(tasks) <= 1 or self._executor is None:
-            for shard_id in sorted(tasks):
-                try:
-                    results[shard_id] = tasks[shard_id]()
-                except Exception as exc:  # noqa: BLE001 - re-raised by caller
-                    errors[shard_id] = exc
-            return results, errors
-        with ThreadPoolExecutor(
-            max_workers=len(tasks), thread_name_prefix="pnw-lifecycle"
-        ) as pool:
-            futures = {
-                shard_id: pool.submit(task)
-                for shard_id, task in tasks.items()
-            }
-            for shard_id, future in futures.items():
-                exc = future.exception()
-                if exc is not None:
-                    errors[shard_id] = exc
-                else:
-                    results[shard_id] = future.result()
-        return results, errors
 
     def close(self) -> None:
         """Drain in-flight batches, then shut the executors down.
@@ -338,10 +309,9 @@ class ShardedPNWStore:
         if self._executor is not None:
             self._executor.shutdown(wait=True)
             self._executor = None
-        if self.executor_kind == "process":
-            with self._quiesced():
-                for store in self.stores:
-                    store.shutdown()
+        with self._quiesced():
+            for store in self.stores:
+                store.close()
         if self._routing_zone is not None:
             self._router.detach()
             self._routing_zone.close()
@@ -418,34 +388,64 @@ class ShardedPNWStore:
         )
 
     def _map_shards(
-        self, tasks: dict[int, Callable[[], Any]]
+        self,
+        tasks: dict[int, Callable[[], Any]],
+        pool: ThreadPoolExecutor | None = None,
     ) -> tuple[dict[int, Any], dict[int, BaseException]]:
         """Run one thunk per shard, concurrently when it pays.
 
         Every task runs to completion (a failing shard never interrupts
         its siblings mid-sub-batch); exceptions are collected, not
         raised.  Single-task maps and closed stores run inline.
+        ``pool`` replaces the shared K/V pool (see :meth:`_lifecycle`).
         """
         results: dict[int, Any] = {}
         errors: dict[int, BaseException] = {}
+
+        def settle(shard_id: int, thunk: Callable[[], Any]) -> None:
+            try:
+                results[shard_id] = thunk()
+            except Exception as exc:  # noqa: BLE001 - re-raised by caller
+                errors[shard_id] = exc
+
         if self._executor is None or len(tasks) <= 1:
             for shard_id in sorted(tasks):
-                try:
-                    results[shard_id] = tasks[shard_id]()
-                except Exception as exc:  # noqa: BLE001 - re-raised by caller
-                    errors[shard_id] = exc
+                settle(shard_id, tasks[shard_id])
             return results, errors
         futures = {
-            shard_id: self._executor.submit(task)
+            shard_id: (pool or self._executor).submit(task)
             for shard_id, task in tasks.items()
         }
         for shard_id, future in futures.items():
-            exc = future.exception()
-            if exc is not None:
-                errors[shard_id] = exc
-            else:
-                results[shard_id] = future.result()
+            settle(shard_id, future.result)
         return results, errors
+
+    def _lifecycle(
+        self,
+        call: Callable[[int, Any], Any],
+        then: Callable[[], None] | None = None,
+    ) -> dict[int, Any]:
+        """The one lifecycle body: quiesce (every shard lock, ascending,
+        so in-flight batches finish and new ones wait), run
+        ``call(shard_id, shard_store)`` on every shard concurrently,
+        run ``then()`` — still quiesced — if every shard succeeded,
+        then re-raise the lowest shard's error, if any.  The map runs
+        on a transient pool so it never queues behind K/V tasks that
+        are blocked on the very shard locks held here."""
+        tasks = {
+            shard_id: (lambda shard_id=shard_id, store=store:
+                       call(shard_id, store))
+            for shard_id, store in enumerate(self.stores)
+        }
+        with self._quiesced(), ThreadPoolExecutor(
+            max_workers=self.n_shards, thread_name_prefix="pnw-lifecycle"
+        ) as pool:
+            results, errors = self._map_shards(tasks, pool)
+            if then is not None and not errors:
+                then()
+        if errors:
+            raise errors[min(errors)]
+        return results
 
     def _raise_merged(
         self,
@@ -517,7 +517,7 @@ class ShardedPNWStore:
 
     def run_shard_batches(
         self, batches: dict[int, list[tuple[str, list]]]
-    ) -> dict[int, list[tuple[list[OperationReport] | None, BaseException | None]]]:
+    ) -> dict[int, list[RunOutcome]]:
         """Execute pre-routed per-shard batch sequences concurrently.
 
         The drain path of :class:`repro.ingest.IngestQueue`: ``batches``
@@ -551,41 +551,22 @@ class ShardedPNWStore:
             )
 
         def run_shard(shard_id: int, runs: list[tuple[str, list]]):
-            store = self.stores[shard_id]
+            # One call per run *sequence* (one round-trip on a process
+            # shard): the shard executes the ordered runs and returns
+            # the per-run outcomes with shard-local addresses.  A
+            # worker death mid-sequence (the zone has already been
+            # recovered by the client) becomes one WorkerCrashedError
+            # outcome per run, so the drain path can retry them like
+            # any other failed run.
             with self._shard_locks[shard_id]:
-                if isinstance(store, ShardProcessClient):
-                    # One round-trip per run *sequence*: the worker
-                    # executes the ordered runs locally and returns the
-                    # per-run outcomes with shard-local addresses.  A
-                    # worker death mid-sequence (the zone has already
-                    # been recovered by the client) becomes one
-                    # WorkerCrashedError outcome per run, so the drain
-                    # path can retry them like any other failed run.
-                    try:
-                        raw = store.run_sequence(runs)
-                    except WorkerCrashedError as exc:
-                        return [(None, exc) for _ in runs]
-                    return [
-                        globalize_outcome(shard_id, reports, exc)
-                        for reports, exc in raw
-                    ]
-                ops = {
-                    "put": store.put_many,
-                    "update": store.update_many,
-                    "delete": store.delete_many,
-                }
-                outcomes: list[tuple[list[OperationReport] | None,
-                                     BaseException | None]] = []
-                for kind, items in runs:
-                    try:
-                        reports = ops[kind](items)
-                    except Exception as exc:  # noqa: BLE001 - routed to futures
-                        outcomes.append(globalize_outcome(shard_id, None, exc))
-                    else:
-                        outcomes.append(
-                            globalize_outcome(shard_id, reports, None)
-                        )
-            return outcomes
+                try:
+                    raw = self.stores[shard_id].run_shard_batches({0: runs})[0]
+                except WorkerCrashedError as exc:
+                    return [(None, exc) for _ in runs]
+            return [
+                globalize_outcome(shard_id, reports, exc)
+                for reports, exc in raw
+            ]
 
         tasks = {
             shard_id: (lambda shard_id=shard_id, runs=runs:
@@ -631,26 +612,17 @@ class ShardedPNWStore:
                 f"{old_data.shape[0]} warm-up rows exceed the "
                 f"{self.config.num_buckets}-bucket zone"
             )
-        tasks: dict[int, Callable[[], None]] = {}
-        for shard_id, store in enumerate(self.stores):
-            rows = old_data[
-                self.shard_bases[shard_id] : self.shard_bases[shard_id + 1]
-            ]
-            tasks[shard_id] = lambda store=store, rows=rows: store.warm_up(rows)
-        with self._quiesced():
-            _, errors = self._map_shards_quiesced(tasks)
-        if errors:
-            raise errors[min(errors)]
+        bases = self.shard_bases
+        self._lifecycle(
+            lambda shard_id, store: store.warm_up(
+                old_data[bases[shard_id] : bases[shard_id + 1]]
+            )
+        )
 
     def retrain(self) -> None:
         """Retrain every shard's model on its own zone, concurrently
         (quiesced: waits out in-flight batches, excludes new ones)."""
-        with self._quiesced():
-            _, errors = self._map_shards_quiesced(
-                {i: store.retrain for i, store in enumerate(self.stores)}
-            )
-        if errors:
-            raise errors[min(errors)]
+        self._lifecycle(lambda _, store: store.retrain())
 
     def crash(self) -> None:
         """Power-fail every shard: all DRAM state is dropped.
@@ -660,12 +632,7 @@ class ShardedPNWStore:
         sub-batches to finish, so the "power failure" lands at a
         deterministic batch boundary on every shard.
         """
-        with self._quiesced():
-            _, errors = self._map_shards_quiesced(
-                {i: store.crash for i, store in enumerate(self.stores)}
-            )
-        if errors:
-            raise errors[min(errors)]
+        self._lifecycle(lambda _, store: store.crash())
 
     def recover(self) -> None:
         """Rebuild every shard from its own NVM state, concurrently.
@@ -684,19 +651,14 @@ class ShardedPNWStore:
         key is therefore never lost and never double-owned after
         ``recover()`` returns.
         """
-        with self._quiesced():
-            _, errors = self._map_shards_quiesced(
-                {i: store.recover for i, store in enumerate(self.stores)}
-            )
-            # Sweep whenever a migration *could* have run: a crash
-            # before the first-ever table flip leaves orphans at
-            # version 0, so the version alone can't gate it.
-            if not errors and (
-                self.rebalance_enabled or self._router.version > 0
-            ):
-                self._sweep_misplaced_quiesced()
-        if errors:
-            raise errors[min(errors)]
+        # Sweep whenever a migration *could* have run: a crash before
+        # the first-ever table flip leaves orphans at version 0, so the
+        # version alone can't gate it.
+        sweep = self.rebalance_enabled or self._router.version > 0
+        self._lifecycle(
+            lambda _, store: store.recover(),
+            self._sweep_misplaced_quiesced if sweep else None,
+        )
 
     def _sweep_misplaced_quiesced(self) -> None:
         """Delete (or re-home) every key resident off its routed shard.
@@ -732,27 +694,26 @@ class ShardedPNWStore:
     # K/V operations                                                      #
     # ------------------------------------------------------------------ #
 
-    def put(self, key: bytes, value: bytes | np.ndarray) -> OperationReport:
-        """Route one PUT to its shard (Algorithm 2 there)."""
+    def _mutate_one(
+        self, key: bytes, call: Callable[[Any], OperationReport]
+    ) -> OperationReport:
+        """The one single-op body: give the rebalancer its shot, pin the
+        routing epoch, run ``call(shard_store)`` under the owning
+        shard's lock, and globalize the report's address."""
         self.rebalance_check()
         with self._epoch.read_locked():
             shard_id = self.shard_of_key(key)
             self._count_routed(shard_id)
             with self._shard_locks[shard_id]:
-                return self._globalize(
-                    shard_id, self.stores[shard_id].put(key, value)
-                )
+                return self._globalize(shard_id, call(self.stores[shard_id]))
+
+    def put(self, key: bytes, value: bytes | np.ndarray) -> OperationReport:
+        """Route one PUT to its shard (Algorithm 2 there)."""
+        return self._mutate_one(key, methodcaller("put", key, value))
 
     def put_unique(self, key: bytes, value: bytes | np.ndarray) -> OperationReport:
         """PUT that refuses to overwrite, routed to the owning shard."""
-        self.rebalance_check()
-        with self._epoch.read_locked():
-            shard_id = self.shard_of_key(key)
-            self._count_routed(shard_id)
-            with self._shard_locks[shard_id]:
-                return self._globalize(
-                    shard_id, self.stores[shard_id].put_unique(key, value)
-                )
+        return self._mutate_one(key, methodcaller("put_unique", key, value))
 
     def put_many(
         self,
@@ -818,25 +779,11 @@ class ShardedPNWStore:
 
     def update(self, key: bytes, value: bytes | np.ndarray) -> OperationReport:
         """Route one UPDATE to its shard."""
-        self.rebalance_check()
-        with self._epoch.read_locked():
-            shard_id = self.shard_of_key(key)
-            self._count_routed(shard_id)
-            with self._shard_locks[shard_id]:
-                return self._globalize(
-                    shard_id, self.stores[shard_id].update(key, value)
-                )
+        return self._mutate_one(key, methodcaller("update", key, value))
 
     def delete(self, key: bytes) -> OperationReport:
         """Route one DELETE to its shard (Algorithm 3 there)."""
-        self.rebalance_check()
-        with self._epoch.read_locked():
-            shard_id = self.shard_of_key(key)
-            self._count_routed(shard_id)
-            with self._shard_locks[shard_id]:
-                return self._globalize(
-                    shard_id, self.stores[shard_id].delete(key)
-                )
+        return self._mutate_one(key, methodcaller("delete", key))
 
     def get(self, key: bytes) -> bytes:
         """Route a GET to its shard: index lookup + data-zone read.
@@ -877,13 +824,9 @@ class ShardedPNWStore:
     def set_keep_reports(self, keep: bool) -> None:
         """Toggle per-operation report retention on every shard."""
         for store in self.stores:
-            if isinstance(store, ShardProcessClient):
-                # ``store.metrics`` is an RPC snapshot here; set the flag
-                # on the worker-resident object instead.
-                store.set_keep_reports(keep)
-            else:
-                store.metrics.keep_reports = keep
+            store.set_keep_reports(keep)
 
+    @property
     def media_stats(self) -> MediaStats:
         """Merged media-health counters across shards (a snapshot)."""
         return MediaStats.merge([store.media_stats for store in self.stores])
@@ -901,15 +844,7 @@ class ShardedPNWStore:
         rows scanned *per shard*.  Returns the summed pass counters; a
         media alarm from the lowest shard re-raises after every shard's
         pass settles."""
-        with self._quiesced():
-            results, errors = self._map_shards_quiesced(
-                {
-                    i: (lambda store=store: store.scrub(limit))
-                    for i, store in enumerate(self.stores)
-                }
-            )
-        if errors:
-            raise errors[min(errors)]
+        results = self._lifecycle(lambda _, store: store.scrub(limit))
         totals: dict[str, int] = {}
         for counters in results.values():
             for name, value in counters.items():
@@ -941,7 +876,7 @@ class ShardedPNWStore:
     @property
     def total_free(self) -> int:
         """Free addresses across every shard's pool."""
-        return sum(store.pool.total_free for store in self.stores)
+        return sum(store.total_free for store in self.stores)
 
     @property
     def live_fraction(self) -> float:

@@ -8,7 +8,7 @@ fingerprint, the bitmap word, and the entry copies of a leaf split — all
 hit NVM, which is why its cache lines per request sit at the top of
 Figure 9.
 
-Simplifications relative to the original (documented in DESIGN.md):
+Simplifications relative to the original (README.md "Layout" points here):
 inner nodes are a plain sorted list (their writes are DRAM-side and free
 either way), and concurrency (HTM) is out of scope.  The NVM write
 pattern per request — slot + metadata, plus periodic split copies — is

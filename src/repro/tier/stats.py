@@ -3,21 +3,22 @@
 Every tier component (the read cache, each per-shard write buffer, the
 longevity classifier, and the :class:`~repro.tier.store.TieredStore`
 itself) owns one :class:`TierStats` and bumps only its own fields;
-:meth:`TierStats.merge` sums the parts into the whole-tier snapshot the
-same way :meth:`~repro.core.reports.StoreMetrics.merge` and
-:meth:`~repro.nvm.stats.WearStats.merge` aggregate per-shard accounting.
+:meth:`TierStats.merge` sums the parts into the whole-tier snapshot —
+the same field-generic merge :class:`~repro.core.reports.StoreMetrics`,
+:class:`~repro.nvm.stats.MediaStats` and ``RouterStats`` inherit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import Iterable
+from dataclasses import dataclass
+
+from ..nvm.stats import _Counters
 
 __all__ = ["TierStats"]
 
 
 @dataclass
-class TierStats:
+class TierStats(_Counters):
     """Operation counters for the DRAM tier in front of the NVM store.
 
     Cache counters (owned by :class:`~repro.tier.cache.BufferCache`):
@@ -69,28 +70,6 @@ class TierStats:
     unflushed_lost: int = 0
     predicted_short: int = 0
     predicted_long: int = 0
-
-    @classmethod
-    def merge(cls, parts: Iterable["TierStats"]) -> "TierStats":
-        """Sum several components' counters into one tier-wide snapshot.
-
-        The result is independent of the parts (later bumps don't show
-        up); re-merge for a fresh view.  Field-generic on purpose: a
-        counter added to the dataclass is merged automatically, so the
-        tier can never silently under-report a new statistic.
-        """
-        parts = list(parts)
-        if not parts:
-            raise ValueError("merge() needs at least one TierStats")
-        merged = cls()
-        for part in parts:
-            for f in fields(cls):
-                setattr(merged, f.name, getattr(merged, f.name) + getattr(part, f.name))
-        return merged
-
-    def as_dict(self) -> dict[str, int]:
-        """Flat counter dictionary (for ``/stats`` endpoints and tests)."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @property
     def cache_hit_rate(self) -> float:

@@ -72,14 +72,15 @@ concurrency.
 
 from __future__ import annotations
 
-import contextlib
 import threading
+from operator import attrgetter
 from typing import Iterable
 
 import numpy as np
 
 from ..core.config import PNWConfig
-from ..core.reports import OperationReport, StoreMetrics
+from ..core.reports import OperationReport
+from ..core.store import RunOutcome, execute_runs
 from ..engine.plan import check_unique, validate_values
 from ..errors import (
     ConfigError,
@@ -88,7 +89,6 @@ from ..errors import (
     WorkerCrashedError,
 )
 from ..index.base import KeyIndex
-from ..nvm.stats import WearStats
 from .cache import BufferCache
 from .classify import LongevityClassifier
 from .stats import TierStats
@@ -97,7 +97,6 @@ from .writebuffer import StagedEntry, WriteBuffer
 __all__ = ["TieredStore", "TIER_MODES"]
 
 TIER_MODES = ("write_through", "write_back", "predictive")
-
 
 class TieredStore:
     """DRAM buffer cache + write-back buffer wrapping a PNW store.
@@ -140,9 +139,8 @@ class TieredStore:
                 f"tier mode must be one of {TIER_MODES}, got {mode!r}"
             )
         self.mode = mode
-        self._sharded = hasattr(store, "shard_of_key")
         #: Lane count for the admission layer (one per shard).
-        self.n_shards: int = store.n_shards if self._sharded else 1
+        self.n_shards: int = store.n_shards
         cache_entries = (
             self.config.tier_cache_entries
             if cache_entries is None
@@ -191,42 +189,7 @@ class TieredStore:
 
     def shard_of_key(self, key: bytes) -> int:
         """The write-buffer lane (= store shard) owning ``key``."""
-        if self._sharded:
-            return self.store.shard_of_key(key)
-        self._normalize(key)  # single-zone: still validate the key
-        return 0
-
-    # Routing passthroughs: the tier is transparent to load-aware
-    # routing.  A migration while entries sit in a write buffer is
-    # benign — flushes route fresh through ``store.put_many`` — but the
-    # ingest layer still needs the epoch/pin surface to re-lane pending
-    # runs, so delegate when the backing store is sharded.
-
-    @property
-    def routing_epoch(self) -> int:
-        """The backing store's routing-table version (0 when single)."""
-        return getattr(self.store, "routing_epoch", 0)
-
-    def routing_pin(self):
-        """Read-hold on the backing store's routing epoch."""
-        pin = getattr(self.store, "routing_pin", None)
-        if pin is None:
-            return contextlib.nullcontext()
-        return pin()
-
-    def rebalance_check(self, ops: int = 1) -> bool:
-        """Forward rebalance accounting to the backing store."""
-        check = getattr(self.store, "rebalance_check", None)
-        if check is None:
-            return False
-        return check(ops)
-
-    def router_stats(self):
-        """The backing store's routing counters, or ``None``."""
-        stats = getattr(self.store, "router_stats", None)
-        if stats is None:
-            return None
-        return stats()
+        return self.store.shard_of_key(key)
 
     @property
     def tier_stats(self) -> TierStats:
@@ -250,9 +213,7 @@ class TieredStore:
         retirement watermark — data that could only ever be lost.  The
         write-through path needs no tier check: the store itself sheds,
         and :meth:`_mutate_many` forwards its error unchanged."""
-        if self.mode != "write_through" and getattr(
-            self.store, "degraded", False
-        ):
+        if self.mode != "write_through" and self.store.degraded:
             exc = DegradedModeError(
                 "tier write shed: the underlying store crossed its media "
                 "retirement watermark; retry after deletes or scrubbing "
@@ -611,13 +572,10 @@ class TieredStore:
 
     def close(self) -> None:
         """Deterministic shutdown: flush every dirty entry, then close
-        the store (if it has a ``close``).  Nothing staged is lost on a
-        clean close."""
+        the store.  Nothing staged is lost on a clean close."""
         with self._lock:
             self._flush_buffers(range(self.n_shards), aged=False)
-            close = getattr(self.store, "close", None)
-            if close is not None:
-                close()
+            self.store.close()
 
     def __enter__(self) -> "TieredStore":
         return self
@@ -631,7 +589,7 @@ class TieredStore:
 
     def run_shard_batches(
         self, batches: dict[int, list[tuple[str, list]]]
-    ) -> dict[int, list[tuple[list[OperationReport] | None, BaseException | None]]]:
+    ) -> dict[int, list[RunOutcome]]:
         """The :class:`~repro.ingest.IngestQueue` drain path, through
         the tier.  Runs execute in shard order under the tier lock (the
         tier's buffers and classifier are shared state); the flushes
@@ -648,69 +606,20 @@ class TieredStore:
         ingest throughput becomes the bottleneck, per-shard tier locks
         or routing pass-through runs around the tier are the follow-ups.
         """
-        results: dict[
-            int, list[tuple[list[OperationReport] | None, BaseException | None]]
-        ] = {}
-        ops = {
-            "put": self.put_many,
-            "update": self.update_many,
-            "delete": self.delete_many,
+        return {
+            shard_id: execute_runs(self, batches[shard_id])
+            for shard_id in sorted(batches)
         }
-        for shard_id in sorted(batches):
-            outcomes: list[
-                tuple[list[OperationReport] | None, BaseException | None]
-            ] = []
-            for kind, items in batches[shard_id]:
-                try:
-                    reports = ops[kind](items)
-                except Exception as exc:  # noqa: BLE001 - routed to futures
-                    outcomes.append((None, exc))
-                else:
-                    outcomes.append((reports, None))
-            results[shard_id] = outcomes
-        return results
 
     # ------------------------------------------------------------------ #
     # aggregation / introspection                                         #
     # ------------------------------------------------------------------ #
-
-    @property
-    def metrics(self) -> StoreMetrics:
-        """The wrapped store's operation counters (NVM-side view)."""
-        return self.store.metrics
-
-    def wear_stats(self) -> WearStats:
-        """Data-zone wear accounting (merged across shards if sharded)."""
-        if self._sharded:
-            return self.store.wear_stats()
-        return self.store.nvm.stats
-
-    def wear_summary(self) -> dict[str, float]:
-        """Headline counters of the data-zone wear."""
-        return self.wear_stats().summary()
-
-    def media_stats(self):
-        """Media-health counters of the wrapped store (merged if sharded)."""
-        if self._sharded:
-            return self.store.media_stats()
-        return self.store.media_stats
-
-    @property
-    def degraded(self) -> bool:
-        """Whether the wrapped store is shedding writes (media watermark)."""
-        return getattr(self.store, "degraded", False)
 
     def scrub(self, limit: int | None = None) -> dict[str, int]:
         """One patrol-scrub pass on the wrapped store (the tier's own
         structures are DRAM — nothing of the tier needs scrubbing)."""
         with self._lock:
             return self.store.scrub(limit)
-
-    @property
-    def live_fraction(self) -> float:
-        """Occupied fraction of the underlying data zone (staged-only
-        creates are not in the zone yet)."""
-        return self.store.live_fraction
 
     def __contains__(self, key: bytes) -> bool:
         key = self._normalize(key)
@@ -725,3 +634,23 @@ class TieredStore:
             return len(self.store) + sum(
                 buffer.creates for buffer in self._buffers
             )
+
+
+#: Store-surface members the tier adds nothing to, served straight from
+#: the wrapped store (a method comes back bound to it).  The tier is
+#: transparent to load-aware routing (a migration while entries sit in
+#: a write buffer is benign — flushes route fresh through
+#: ``store.put_many``), and its own structures are DRAM, so wear, media
+#: and operation counters are the store's NVM-side view.  A closed list
+#: on purpose: anything that reads or writes *data* must go through the
+#: tier's buffers, never around them.  Class-level properties rather
+#: than ``__getattr__``, which would take every ``self.x`` of the tier's
+#: hot path off the interpreter's fast attribute path.
+_DELEGATED = (
+    "routing_epoch", "routing_pin", "rebalance_check", "router_stats",
+    "metrics", "set_keep_reports", "wear_stats", "wear_summary",
+    "media_stats", "degraded", "live_fraction", "total_free",
+)
+for _name in _DELEGATED:
+    setattr(TieredStore, _name, property(attrgetter("store." + _name)))
+del _name

@@ -4,8 +4,8 @@ Every evaluation dataset of the paper is represented as a generator that
 yields ``(n, item_bytes)`` uint8 matrices.  Real downloads (UCI corpora,
 Keras images, video files) are unavailable offline, so each generator is a
 synthetic stand-in engineered to preserve the property PNW exploits: the
-*bit-level similarity structure* of the values (see DESIGN.md §3 for the
-per-dataset rationale).
+*bit-level similarity structure* of the values (each generator's module
+docstring gives the per-dataset rationale; README.md "Layout").
 
 Generators are deterministic in their seed and stateful: successive
 ``generate`` calls continue the same stream, which matters for the

@@ -8,6 +8,12 @@ import pytest
 from repro import PNWConfig, PNWStore
 
 
+def pytest_configure(config: pytest.Config) -> None:
+    config.addinivalue_line(
+        "markers", "slow: example smoke tests that take several seconds"
+    )
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     """Deterministic RNG for test data."""

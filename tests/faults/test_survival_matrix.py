@@ -84,17 +84,6 @@ def assert_contents(store, expected: dict[bytes, bytes]) -> None:
     assert len(store) == len(expected)
 
 
-def media_stats_of(store):
-    stats = store.media_stats
-    return stats() if callable(stats) else stats
-
-
-def close(store) -> None:
-    closer = getattr(store, "close", None)
-    if closer is not None:
-        closer()
-
-
 def acked_value(pairs: list[tuple[bytes, bytes]], key: bytes) -> bytes:
     """Look up a report's (zero-padded) key in the submitted pairs."""
     width = len(key)
@@ -116,7 +105,7 @@ class TestSurvivalAcrossExecutors:
         try:
             expected = drive(store)
             assert_contents(store, expected)
-            stats = media_stats_of(store)
+            stats = store.media_stats
             assert stats.verify_failures > 0
             assert stats.rows_retired > 0
             store.crash()
@@ -128,7 +117,7 @@ class TestSurvivalAcrossExecutors:
             for key, value in post:
                 assert store.get(key) == value
         finally:
-            close(store)
+            store.close()
 
     def test_scrub_after_ageing_keeps_contents(self, backend):
         config = media_config(backend, media_fault_budget=100)
@@ -145,7 +134,7 @@ class TestSurvivalAcrossExecutors:
             assert totals["scanned"] > 0
             assert_contents(store, expected)
         finally:
-            close(store)
+            store.close()
 
 
 @pytest.mark.parametrize("backend", ["single", "processes"])
@@ -166,13 +155,13 @@ class TestSurvivalUnderTheTier:
             # Write-back staging is DRAM: only flushed data is durable,
             # so drain the buffer before pulling the plug.
             store.flush()
-            stats = store.media_stats()
+            stats = store.media_stats
             assert stats.verify_failures > 0
             store.crash()
             store.recover()
             assert_contents(store, expected)
         finally:
-            close(store)
+            store.close()
 
 
 class TestShardedDegradedMerge:
@@ -194,12 +183,12 @@ class TestShardedDegradedMerge:
                 acked.update(pairs)
             assert shed, "no shard ever degraded"
             assert store.degraded
-            assert media_stats_of(store).writes_shed > 0
+            assert store.media_stats.writes_shed > 0
             # Reads still serve everything that was acknowledged.
             for key, value in acked.items():
                 assert store.get(key) == value
         finally:
-            close(store)
+            store.close()
 
 
 class TestRetirementSurvivesWorkerDeath:
@@ -218,7 +207,7 @@ class TestRetirementSurvivesWorkerDeath:
                     break
                 acked.update(pairs)
             assert store.degraded
-            retired_before = media_stats_of(store).rows_retired
+            retired_before = store.media_stats.rows_retired
             assert retired_before > 0
             # kill -9 every worker: DRAM state (budgets, counters) dies,
             # the retirement bitmap and stuck mask live in the zone.
@@ -235,4 +224,4 @@ class TestRetirementSurvivesWorkerDeath:
             with pytest.raises(DegradedModeError):
                 store.put_many(hostile_pairs(rng, 3, prefix="late"))
         finally:
-            close(store)
+            store.close()

@@ -95,7 +95,7 @@ def mean_pairwise_hamming(items: np.ndarray, rng, pairs: int = 200) -> float:
 
 
 class TestClusterability:
-    """The structural property each stand-in must deliver (DESIGN.md §3)."""
+    """The structural property each stand-in must deliver (README.md "Layout")."""
 
     def test_amazon_within_role_closer_than_across(self, rng):
         w = AmazonAccessWorkload(seed=3, n_roles=4, flip_rate=0.005)
