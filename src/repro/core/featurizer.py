@@ -43,10 +43,13 @@ class Featurizer:
         raise NotImplementedError
 
     def fit(self, rows: np.ndarray) -> "Featurizer":
-        """Fit the (optional) PCA on raw encodings of ``rows``."""
-        encoded = self._encode(np.atleast_2d(rows))
+        """Fit the (optional) PCA on raw encodings of ``rows``.
+
+        The raw encodings themselves have nothing to learn, so without
+        PCA this only marks the featurizer usable.
+        """
         if self._pca is not None:
-            self._pca.fit(encoded)
+            self._pca.fit(self._encode(np.atleast_2d(rows)))
         self._fitted = True
         return self
 
@@ -60,8 +63,12 @@ class Featurizer:
         return encoded
 
     def fit_transform(self, rows: np.ndarray) -> np.ndarray:
-        """Fit and transform in one pass."""
-        return self.fit(rows).transform(rows)
+        """Fit and transform, encoding ``rows`` once."""
+        encoded = self._encode(np.atleast_2d(rows))
+        self._fitted = True
+        if self._pca is None:
+            return encoded
+        return self._pca.fit_transform(encoded)
 
     def transform_one(self, row: np.ndarray) -> np.ndarray:
         """Feature vector of a single bucket (the PUT hot path)."""

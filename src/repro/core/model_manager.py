@@ -113,6 +113,8 @@ class ModelManager:
         for start in range(0, features.shape[0], batch):
             refresher.partial_fit(features[start : start + batch])
         self.model.cluster_centers_ = refresher.cluster_centers_
+        # The fit's assignment was made against the centroids just replaced.
+        self.model.labels_ = None
         self.last_train_seconds = time.perf_counter() - started
         self.model_version += 1
         self.refresh_count += 1
@@ -122,6 +124,22 @@ class ModelManager:
         if self.model is None or self.featurizer is None:
             raise NotFittedError("train() has not been called")
         return self.model.predict(self.featurizer.transform(rows))
+
+    def trained_labels(self, rows: np.ndarray, subset: np.ndarray) -> np.ndarray:
+        """Cluster labels of ``rows[subset]``, where ``rows`` is the very
+        matrix the last :meth:`train` was given (pool rebuilds).
+
+        A full fit ends by assigning every training row to its nearest
+        final centroid, so those labels are reused instead of encoding
+        and assigning the rows a second time.  An incremental refresh
+        moves the centroids *after* that assignment; its rows go through
+        :meth:`labels_for`.
+        """
+        if self.model is None:
+            raise NotFittedError("train() has not been called")
+        if self.model.labels_ is None:
+            return self.labels_for(rows[subset])
+        return self.model.labels_[subset]
 
     def predict(self, bucket: np.ndarray) -> int:
         """Cluster of one bucket's contents (Algorithm 2, line 1).

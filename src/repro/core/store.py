@@ -256,6 +256,21 @@ class PNWStore:
                     word[byte_id] &= ~(1 << bit_in_byte) & 0xFF
             self.flags_nvm.write(int(word_id), word)
 
+    def _valid_mask(self) -> np.ndarray:
+        """Every bucket's validity bit as one boolean vector.
+
+        Bucket ``a`` lives in flag word ``a // 32``, byte ``a % 32 // 8``,
+        bit ``a % 8`` — byte ``a // 8`` of the region, least significant
+        bit first — so unpacking the region's bytes in little bit order
+        lists the buckets in address order.
+        """
+        if self._valid_dram is not None:
+            return self._valid_dram.copy()
+        bits = np.unpackbits(
+            np.asarray(self.flags_nvm.contents).reshape(-1), bitorder="little"
+        )
+        return bits[: self.config.num_buckets].astype(bool)
+
     def _is_valid(self, address: int) -> bool:
         if self._valid_dram is not None:
             return bool(self._valid_dram[address])
@@ -307,21 +322,25 @@ class PNWStore:
         Live buckets stay out of the pool; free buckets are re-filed under
         their fresh labels.  The hash index is untouched — "we do not need
         to move or change anything in the hash table on NVM" (§V-C).
-        With ``refresh_mode="incremental"`` a trained model is refreshed
-        in place by mini-batch K-Means (same ``n_clusters``) instead of
-        refit from scratch, so the pool rebuild is the only full-zone
-        pass left on the retrain path.
+        A full fit encodes the zone once and files the free addresses
+        under the labels that fit already gave their rows.  With
+        ``refresh_mode="incremental"`` a trained model is instead
+        refreshed in place by mini-batch K-Means (same ``n_clusters``):
+        no Lloyd pass, but the zone is encoded for the refresh and its
+        free rows again to label them against the moved centroids.
         """
-        contents = self.nvm.contents
-        self.manager.train(np.asarray(contents))
-        assert self.manager.model is not None
-        free = self.pool.free_addresses()
-        n_clusters = self.manager.model.n_clusters
-        self.pool = self._new_pool(n_clusters)
-        if free.size:
-            labels = self.manager.labels_for(np.asarray(contents)[free])
-            self.pool.rebuild(labels, free)
+        self._train_and_refile(self.pool.free_addresses())
         self.metrics.retrains += 1
+
+    def _train_and_refile(self, free: np.ndarray) -> None:
+        """(Re)train on the zone's contents and build a fresh pool that
+        files the ``free`` addresses under their rows' labels."""
+        contents = np.asarray(self.nvm.contents)
+        self.manager.train(contents)
+        assert self.manager.model is not None
+        self.pool = self._new_pool(self.manager.model.n_clusters)
+        if free.size:
+            self.pool.rebuild(self.manager.trained_labels(contents, free), free)
 
     def _maybe_retrain(self) -> bool:
         if self.engine.defer_retrain:
@@ -556,26 +575,14 @@ class PNWStore:
                 "was built with persist_flags=False (the paper's Fig. 2a "
                 "architecture, which cannot rebuild liveness after a crash)"
             )
-        live = np.array(
-            [a for a in range(self.config.num_buckets) if self._is_valid(a)],
-            dtype=np.int64,
-        )
+        valid = self._valid_mask()
+        live = np.flatnonzero(valid)
         if self.config.index_placement == "dram" and len(self.index) == 0:
-            for address in live:
-                bucket = self.nvm.peek(int(address))
-                key = bucket[: self.config.key_bytes].tobytes()
-                self.index.put(key, int(address))
+            keys = np.asarray(self.nvm.contents)[live, : self.config.key_bytes]
+            for address, key in zip(live.tolist(), keys):
+                self.index.put(key.tobytes(), address)
         self._live_count = int(live.size)
-
-        contents = np.asarray(self.nvm.contents)
-        self.manager.train(contents)
-        assert self.manager.model is not None
-        free_mask = np.ones(self.config.num_buckets, dtype=bool)
-        free_mask[live] = False
-        free = np.flatnonzero(free_mask)
-        self.pool = self._new_pool(self.manager.model.n_clusters)
-        if free.size:
-            self.pool.rebuild(self.manager.labels_for(contents[free]), free)
+        self._train_and_refile(np.flatnonzero(~valid))
         if self.scrubber is not None:
             # Checksums died with DRAM; re-trust the media for live rows
             # (every one of them passed write-verify before the crash).

@@ -22,9 +22,27 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import NotFittedError
-from ._parallel import assign_dense, run_restarts
+from ._parallel import assign_labels, run_restarts
 
 __all__ = ["KMeans", "MiniBatchKMeans", "kmeans_plus_plus"]
+
+#: float64 elements per distance block in the seeding (256 KiB): the
+#: ``X - c`` temporary is written and re-read without leaving the cache.
+_SEED_BLOCK_ELEMENTS = 1 << 15
+
+
+def _sq_distances(X: np.ndarray, center: np.ndarray) -> np.ndarray:
+    """Squared L2 distance of every row of ``X`` to ``center``.
+
+    Computed block by block so the difference never leaves the cache;
+    each row's sum is the same ``einsum`` reduction whatever the block.
+    """
+    d2 = np.empty(X.shape[0], dtype=np.float64)
+    block = max(1, _SEED_BLOCK_ELEMENTS // max(1, X.shape[1]))
+    for start in range(0, X.shape[0], block):
+        diff = X[start : start + block] - center
+        np.einsum("ij,ij->i", diff, diff, out=d2[start : start + block])
+    return d2
 
 
 def kmeans_plus_plus(
@@ -40,7 +58,7 @@ def kmeans_plus_plus(
     centers = np.empty((n_clusters, X.shape[1]), dtype=np.float64)
     first = int(rng.integers(n))
     centers[0] = X[first]
-    closest_d2 = np.einsum("ij,ij->i", X - centers[0], X - centers[0])
+    closest_d2 = _sq_distances(X, centers[0])
     for i in range(1, n_clusters):
         total = closest_d2.sum()
         if total <= 0.0:
@@ -50,8 +68,7 @@ def kmeans_plus_plus(
         else:
             idx = int(rng.choice(n, p=closest_d2 / total))
         centers[i] = X[idx]
-        diff = X - centers[i]
-        np.minimum(closest_d2, np.einsum("ij,ij->i", diff, diff), out=closest_d2)
+        np.minimum(closest_d2, _sq_distances(X, centers[i]), out=closest_d2)
     return centers
 
 
@@ -152,8 +169,7 @@ class KMeans:
         """Index of the closest centroid for each row of ``X``."""
         centers = self._require_fitted()
         X = np.atleast_2d(np.ascontiguousarray(X, dtype=np.float64))
-        labels, _, _, _ = assign_dense(X, centers)
-        return labels
+        return assign_labels(X, centers)[0]
 
     def centroid_distances(self, X: np.ndarray) -> np.ndarray:
         """Squared L2 distance of each row of ``X`` to every centroid.
@@ -180,8 +196,7 @@ class KMeans:
         """Negative SSE of ``X`` against the fitted centroids."""
         centers = self._require_fitted()
         X = np.ascontiguousarray(X, dtype=np.float64)
-        _, _, _, sse = assign_dense(X, centers)
-        return -sse
+        return -assign_labels(X, centers)[1]
 
     def centroid_order_by_distance(self, x: np.ndarray) -> np.ndarray:
         """Cluster indices sorted from nearest to farthest centroid of ``x``.
@@ -272,7 +287,7 @@ class MiniBatchKMeans:
                 )
             self.cluster_centers_ = kmeans_plus_plus(X, self.n_clusters, self._rng)
             self._counts = np.zeros(self.n_clusters, dtype=np.float64)
-        labels, _, _, _ = assign_dense(X, self.cluster_centers_)
+        labels, _ = assign_labels(X, self.cluster_centers_)
         for x, label in zip(X, labels):
             self._counts[label] += 1.0
             eta = 1.0 / self._counts[label]
@@ -297,5 +312,4 @@ class MiniBatchKMeans:
         if self.cluster_centers_ is None:
             raise NotFittedError("call fit()/partial_fit() before predict()")
         X = np.atleast_2d(np.ascontiguousarray(X, dtype=np.float64))
-        labels, _, _, _ = assign_dense(X, self.cluster_centers_)
-        return labels
+        return assign_labels(X, self.cluster_centers_)[0]

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
+from repro.errors import ReproError
+from repro.ml import KMeans
 from repro.ml._parallel import LloydRun, assign_dense, run_restarts, single_run
 
 
@@ -50,6 +54,38 @@ class TestRunRestarts:
     def test_single_seed_skips_pool(self, X):
         runs = run_restarts(X, 2, 20, 1e-8, [5], n_jobs=4)
         assert len(runs) == 1
+
+
+@pytest.fixture
+def spawn_is_default():
+    """The process-wide default start method is ``spawn`` (the default
+    from Python 3.14, and what any ``set_start_method`` caller gets)."""
+    before = multiprocessing.get_start_method(allow_none=True)
+    multiprocessing.set_start_method("spawn", force=True)
+    try:
+        yield
+    finally:
+        multiprocessing.set_start_method(before, force=True)
+
+
+class TestStartMethod:
+    def test_parallel_fit_ignores_the_default_start_method(
+        self, X, spawn_is_default
+    ):
+        # Workers read the matrix from a module global only a forked
+        # child inherits; a spawned one would import a fresh module.
+        serial = KMeans(2, n_init=2, seed=4, n_jobs=1).fit(X)
+        parallel = KMeans(2, n_init=2, seed=4, n_jobs=2).fit(X)
+        assert np.array_equal(serial.cluster_centers_, parallel.cluster_centers_)
+        assert np.array_equal(serial.labels_, parallel.labels_)
+        assert serial.inertia_ == parallel.inertia_
+
+    def test_platform_without_fork_is_refused_up_front(self, X, monkeypatch):
+        monkeypatch.setattr(
+            multiprocessing, "get_all_start_methods", lambda: ["spawn"]
+        )
+        with pytest.raises(ReproError, match="fork"):
+            run_restarts(X, 2, 20, 1e-8, [1, 2], n_jobs=2)
 
 
 class TestAssignDense:
