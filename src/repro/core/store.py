@@ -29,7 +29,7 @@ model, and pool purely from NVM state.
 from __future__ import annotations
 
 import contextlib
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -49,6 +49,16 @@ from .model_manager import ModelManager
 from .reports import OperationReport, StoreMetrics
 
 __all__ = ["PNWStore", "OperationReport", "StoreMetrics"]
+
+#: Shortest address batch that takes the vectorized bitmap update.
+#: Measured on a 4096-bucket store (best of 7): the vector path costs
+#: ~65 us however few addresses it carries (``np.unique`` plus one
+#: ``peek_many``/``write_many`` round-trip; 74 us at 4 addresses, 285 us
+#: at 128 against 1444 us for the per-word loop it replaced), a scalar
+#: ``_set_valid`` 15-23 us per address — break-even at 4 to 6.  The low
+#: end is taken because the vector path also programs each flag word
+#: once, where scalar calls program it once per address.
+_VECTOR_FLAGS_MIN = 4
 
 #: One executed run: its reports, or the error that cut it short.
 RunOutcome = tuple[list[OperationReport] | None, BaseException | None]
@@ -228,33 +238,39 @@ class PNWStore:
             word[byte_id] &= ~(1 << bit_in_byte) & 0xFF
         self.flags_nvm.write(word_id, word)
 
-    def _set_valid_many(self, addresses: np.ndarray, valid: bool) -> None:
-        """Batch :meth:`_set_valid` with per-word coalescing.
+    def _set_valid_many(
+        self, addresses: np.ndarray | Sequence[int], valid: bool
+    ) -> None:
+        """Batch :meth:`_set_valid`: one read-modify-write of the bitmap.
 
-        The bitmap *contents* end up identical to per-address flag writes,
-        but each touched 4-byte flag word is programmed once per batch
-        instead of once per address — the bitmap half of the batch
-        pipeline's write saving.  (Flag-region write counts therefore
-        differ from the sequential path; data-zone accounting stays
-        byte-identical.)  Callers must not mix sets and clears of the same
-        address in one call.
+        Every touched 4-byte flag word is fetched, has the bits of all
+        its addresses set or cleared under one mask, and is programmed
+        once, through one multi-row device write in ascending word
+        order.  The bitmap *contents* end up identical to per-address
+        flag writes; the flag region is charged one write per touched
+        word per call instead of one per address — the bitmap half of
+        the batch pipeline's write saving.  (Flag-region write counts
+        therefore differ from the sequential path; data-zone accounting
+        stays byte-identical.)  Calls shorter than
+        :data:`_VECTOR_FLAGS_MIN` — every single-op PUT, UPDATE and
+        DELETE — and the DRAM mirror take the scalar setter per address,
+        without an array round-trip.  Callers must not mix sets and
+        clears of the same address in one call.
         """
-        addresses = np.asarray(addresses, dtype=np.int64)
-        if self._valid_dram is not None:
+        if self._valid_dram is not None or len(addresses) < _VECTOR_FLAGS_MIN:
             for address in addresses:
-                self._valid_dram[address] = valid
-                self.memory.dram.write(1)
+                self._set_valid(int(address), valid)
             return
-        word_ids, bits = np.divmod(addresses, 32)
-        for word_id in np.unique(word_ids):
-            word = self.flags_nvm.peek(int(word_id))
-            for bit in bits[word_ids == word_id]:
-                byte_id, bit_in_byte = divmod(int(bit), 8)
-                if valid:
-                    word[byte_id] |= 1 << bit_in_byte
-                else:
-                    word[byte_id] &= ~(1 << bit_in_byte) & 0xFF
-            self.flags_nvm.write(int(word_id), word)
+        word_ids, bits = np.divmod(np.asarray(addresses, dtype=np.int64), 32)
+        touched, inverse = np.unique(word_ids, return_inverse=True)
+        masks = np.zeros(touched.size, dtype="<u4")
+        np.bitwise_or.at(masks, inverse, np.uint32(1) << bits.astype("<u4"))
+        words = self.flags_nvm.peek_many(touched).view("<u4").reshape(-1)
+        if valid:
+            words |= masks
+        else:
+            words &= ~masks
+        self.flags_nvm.write_many(touched, words.view(np.uint8).reshape(-1, 4))
 
     def _valid_mask(self) -> np.ndarray:
         """Every bucket's validity bit as one boolean vector.
@@ -383,9 +399,12 @@ class PNWStore:
         (data zone, flag bitmap, index, wear counters, pool order) to
         calling :meth:`put` once per pair in order.  To guarantee that,
         the plan stage chunks the batch so a retrain check can only fire
-        where the sequential loop would run it, and pairs whose key
-        already exists are routed through the update mode exactly like a
-        sequential PUT.  (The byte-identical guarantee holds for the raw
+        where the sequential loop would run it.  Pairs whose key already
+        exists follow the update mode, like a sequential PUT of an
+        existing key: a run of consecutive distinct existing keys — a
+        tier flush is mostly that — executes as one vectorized update
+        chunk (:meth:`update_many`'s), a lone one as a single update.
+        (The byte-identical guarantee holds for the raw
         bit/byte featurizers — the defaults; with PCA attached, batch and
         single-row features agree only to float tolerance, so a near-tie
         between centroids can steer a pair differently.)
@@ -401,7 +420,11 @@ class PNWStore:
         loop would) before escaping; the escaping exception carries
         ``committed_reports`` — the in-order reports of every pair of
         *this call* that fully committed — so callers can retry exactly
-        the remainder.  Returns one report per pair, in order.
+        the remainder.  (On worn media, a write-verify relocation that
+        finds the pool empty inside a run of existing keys leaves that
+        chunk's uncommitted keys deleted, exactly as
+        :meth:`update_many` does: re-put them from the batch.)  Returns
+        one report per pair, in order.
         """
         return self.engine.put_many(pairs, unique=unique)
 

@@ -116,10 +116,17 @@ def _flush_puts(
     fallbacks: np.ndarray,
     clusters: np.ndarray | None = None,
     orders=None,
+    replacing: bool = False,
 ) -> PutCommit:
     """Flush a chunk of placed PUTs: multi-row write, write-verify (on
     media-enabled stores), coalesced flag bits, then per-op index
     inserts and retrain checks, in order.
+
+    With ``replacing`` the chunk is the put half of endurance updates:
+    each key's old index entry is removed right before its new one is
+    inserted, so the index sees delete, insert, delete, insert — the
+    sequential order, which is what a placement-sensitive (path-hashing)
+    index needs to end up with the same slots.
 
     Deferring the data writes to one multi-row commit is safe because
     chunk writes only land on just-popped addresses, which are no longer
@@ -151,6 +158,8 @@ def _flush_puts(
     index_lines: list[int] = []
     retrained: list[bool] = []
     for i in range(good):
+        if replacing:
+            _unindex_replaced(store, keys[i])
         lines_before = store._index_lines_snapshot()
         store.index.put(keys[i], int(addresses[i]))
         index_lines.append(store._index_lines_snapshot() - lines_before)
@@ -236,7 +245,8 @@ def commit_puts(
 def unindex_deletes(
     engine: "MutationEngine", keys: list[bytes]
 ) -> tuple[list[tuple[bytes, int]], KeyNotFoundError | None]:
-    """Index removals and flag resets, per key in order (Algorithm 3).
+    """Index removals per key in order, then one flag reset for the
+    whole chunk (Algorithm 3).
 
     Stops at the first missing key; the caller finishes recycling the
     already-deleted prefix before the error escapes — the state a
@@ -244,14 +254,15 @@ def unindex_deletes(
     """
     store = engine.store
     done: list[tuple[bytes, int]] = []
+    error: KeyNotFoundError | None = None
     for key in keys:
         try:
-            address = store.index.delete(key)
+            done.append((key, store.index.delete(key)))
         except KeyNotFoundError as exc:
-            return done, exc
-        store._set_valid(address, False)
-        done.append((key, address))
-    return done, None
+            error = exc
+            break
+    store._set_valid_many([address for _, address in done], False)
+    return done, error
 
 
 def release_deletes(
@@ -290,22 +301,23 @@ def replay_update_deletes(
 ) -> list[OperationReport]:
     """Store-side half of the first ``count`` endurance-update deletes,
     whose pool-side releases the probe engine already interleaved with
-    the pops: index removal, flag reset, and counters per key, in key
-    order.  Builds (but does not record) the delete reports — the
-    account stage interleaves them with the put reports."""
+    the pops: counters per key and one flag reset for all ``count`` old
+    rows — before the put half sets its flags, so a row released and
+    re-popped inside the chunk ends up set.  The index half runs later,
+    interleaved with the inserts (``_flush_puts(replacing=True)``).
+    Builds (but does not record) the delete reports — the account stage
+    interleaves them with the put reports."""
     store = engine.store
     reports: list[OperationReport] = []
     for i in range(count):
         store.metrics.updates += 1
-        address = int(store.index.delete(keys[i]))
-        store._set_valid(address, False)
         store._live_count -= 1
         store.metrics.deletes += 1
         reports.append(
             OperationReport(
                 op="delete",
                 key=keys[i],
-                address=address,
+                address=releases[i][0],
                 cluster=releases[i][1],
                 fallback_used=False,
                 bit_updates=0,
@@ -317,13 +329,20 @@ def replay_update_deletes(
                 retrained=False,
             )
         )
-        # Replay the PUT-side membership check of the sequential path
-        # (update -> put -> "key in index", always False here): on an
-        # NVM index that lookup is accounted read traffic, and skipping
-        # it would make batched and sequential runs report different
-        # index wear.
-        _ = keys[i] in store.index
+    store._set_valid_many(
+        [address for address, _ in releases[:count]], False
+    )
     return reports
+
+
+def _unindex_replaced(store, key: bytes) -> None:
+    """Index half of one endurance-update delete: drop the old entry,
+    then replay the PUT-side membership check of the sequential path
+    (update -> put -> "key in index", always False here).  On an NVM
+    index that lookup is accounted read traffic, and skipping it would
+    make batched and sequential runs report different index wear."""
+    store.index.delete(key)
+    _ = key in store.index
 
 
 def commit_endurance_updates(
@@ -341,7 +360,9 @@ def commit_endurance_updates(
     freed address is eligible for its own key's steered PUT and every
     later one).  The store-side half of each delete touches neither the
     pool nor the data zone, so replaying it after the bulk pop leaves
-    identical state and identical accounting.
+    identical state and identical accounting: counters and one flag
+    reset up front, the index removal right before the same key's
+    insert.
 
     Returns ``(put_commit, delete_reports, committed)``.  A trailing
     delete whose steered PUT found the pool empty is still returned
@@ -350,48 +371,39 @@ def commit_endurance_updates(
     """
     store = engine.store
     m = len(keys)
-    new_addresses = np.empty(m, dtype=np.int64)
-    fallbacks = np.zeros(m, dtype=bool)
+    pool_exc: PoolExhaustedError | None = None
+    committed = applied = m
     try:
         new_addresses, fallbacks = store.pool.get_best_many(
             steering.put_clusters, payloads, store.config.probe_limit,
             steering.orders, releases=steering.releases,
         )
     except PoolExhaustedError as exc:
-        committed = int(exc.partial_addresses.size)
-        new_addresses[:committed] = exc.partial_addresses
-        fallbacks[:committed] = exc.partial_fallbacks
+        pool_exc = exc
+        new_addresses, fallbacks = exc.partial_addresses, exc.partial_fallbacks
+        committed = int(new_addresses.size)
         # The failing request's release landed before its pop died, so
         # its delete half is replayed (and recorded) too.
         applied = int(getattr(exc, "releases_applied", committed))
-        delete_reports = replay_update_deletes(
-            engine, keys, steering.releases, applied, steering.predict_ns
-        )
-        try:
-            put_commit = _flush_puts(
-                engine, keys[:committed], payloads, new_addresses, fallbacks,
-                steering.put_clusters, steering.orders,
-            )
-        except PoolExhaustedError as exc2:
-            _account_update_flush_failure(
-                engine, exc2, keys, steering, delete_reports
-            )
-            raise exc2 from None
-        exc.chunk_reports = account.account_endurance_updates(
-            engine, keys, steering, put_commit, delete_reports, committed
-        )
-        raise
     delete_reports = replay_update_deletes(
-        engine, keys, steering.releases, m, steering.predict_ns
+        engine, keys, steering.releases, applied, steering.predict_ns
     )
     try:
-        put_commit = _flush_puts(engine, keys, payloads, new_addresses,
-                                 fallbacks, steering.put_clusters,
-                                 steering.orders)
+        put_commit = _flush_puts(
+            engine, keys[:committed], payloads, new_addresses, fallbacks,
+            steering.put_clusters, steering.orders, replacing=True,
+        )
     except PoolExhaustedError as exc:
         _account_update_flush_failure(engine, exc, keys, steering,
                                       delete_reports)
         raise
+    if pool_exc is not None:
+        for key in keys[committed:applied]:
+            _unindex_replaced(store, key)
+        pool_exc.chunk_reports = account.account_endurance_updates(
+            engine, keys, steering, put_commit, delete_reports, committed
+        )
+        raise pool_exc
     return put_commit, delete_reports, m
 
 
@@ -407,13 +419,15 @@ def _account_update_flush_failure(
 
     The verified put prefix is accounted as usual; delete halves past
     the prefix *did* land (their keys are gone, their rows unflagged,
-    their put rows released back to the pool), so their reports are
-    recorded in the metrics just like the single trailing delete the
-    account stage already handles."""
+    their put rows released back to the pool), so their index entries
+    are dropped and their reports are recorded in the metrics just like
+    the single trailing delete the account stage already handles."""
     flushed = exc.__dict__.pop("flushed_commit", None)
     if flushed is None:
         raise exc
     good = len(flushed.write_reports)
+    for key in keys[good:len(delete_reports)]:
+        _unindex_replaced(engine.store, key)
     exc.chunk_reports = account.account_endurance_updates(
         engine, keys, steering, flushed, delete_reports, good
     )

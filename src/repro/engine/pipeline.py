@@ -90,8 +90,9 @@ class PutChunk(Chunk):
 
 
 class SingleUpdate(Chunk):
-    """A PUT whose key already exists, routed through the update mode
-    exactly like a sequential PUT of an existing key."""
+    """A PUT of one existing key with no existing neighbour to group
+    with, routed through the update mode exactly like a sequential PUT
+    of an existing key.  (Two or more in a row are an update chunk.)"""
 
     __slots__ = ("key", "value")
 
@@ -105,7 +106,8 @@ class SingleUpdate(Chunk):
 
 class UpdateEnduranceChunk(Chunk):
     """Endurance-mode UPDATE chunk: delete + steered PUT per pair, with
-    the pool-visible interleaving preserved inside one bulk pop."""
+    the pool-visible interleaving preserved inside one bulk pop.  Planned
+    for UPDATE batches and for runs of existing keys in a PUT batch."""
 
     __slots__ = ("pairs",)
 
@@ -127,7 +129,9 @@ class UpdateEnduranceChunk(Chunk):
 
 
 class UpdateLatencyChunk(Chunk):
-    """Latency-mode UPDATE chunk: in-place multi-row write, no steering."""
+    """Latency-mode UPDATE chunk: in-place multi-row write, no steering.
+    Planned for UPDATE batches and for runs of existing keys in a PUT
+    batch."""
 
     __slots__ = ("pairs",)
 

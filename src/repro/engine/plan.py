@@ -94,52 +94,101 @@ def check_unique(
         seen.add(key)
 
 
+def _retrain_cap(engine: "MutationEngine", n: int) -> int:
+    """Longest chunk of retrain-clock-ticking operations whose retrain
+    check can only fire at its last one (``n``: no limit)."""
+    if engine.defer_retrain:
+        return n
+    store = engine.store
+    return store.config.retrain_check_interval - store._mutations_since_check
+
+
+def _update_chunking(engine: "MutationEngine", n: int) -> tuple[type, int]:
+    """The update mode's chunk type and the longest chunk it may run:
+    an endurance update ticks the retrain clock once per pair, an
+    in-place latency update never does."""
+    from .pipeline import UpdateEnduranceChunk, UpdateLatencyChunk
+
+    if engine.store.config.update_mode == "endurance":
+        return UpdateEnduranceChunk, _retrain_cap(engine, n)
+    return UpdateLatencyChunk, n
+
+
+def _present(index, key: bytes) -> bool:
+    """Membership through the *unaccounted* ``peek``: look-ahead that
+    must not add NVM-index reads the sequential loop never makes."""
+    try:
+        index.peek(key)
+    except KeyNotFoundError:
+        return False
+    return True
+
+
 def plan_puts(
     engine: "MutationEngine", items: list[tuple[bytes, bytes | np.ndarray]]
 ) -> Iterator["Chunk"]:
-    """Carve a PUT batch into steered-PUT chunks and inline updates.
+    """Carve a PUT batch into steered-PUT chunks and update chunks.
 
-    A chunk holds fresh, distinct keys and is capped so the next retrain
+    A :class:`PutChunk` holds fresh, distinct keys; it stops at the
+    first existing or repeated key and is capped so the next retrain
     check can only fire at its last operation — after every deferred
     write has landed — which is exactly where the sequential loop would
-    retrain.  A pair whose key already exists is routed through the
-    update mode as its own single-op chunk, exactly like a sequential
-    PUT of an existing key.
+    retrain.  A stretch of two or more consecutive, distinct, existing
+    keys is one update-mode chunk, carved exactly as
+    :func:`plan_updates` carves an UPDATE batch (cut at a repeated key
+    and, in endurance mode, at the retrain cap), so a flush of N dirty
+    existing keys costs a handful of chunks, not N; a stretch of one is
+    a :class:`SingleUpdate`, the sequential PUT of an existing key.
+
+    A sequential upsert looks its key up twice where it is present —
+    this planner's check, then ``update_single``'s — before the update
+    itself runs; both are replayed here for a grouped stretch, so an
+    NVM index reports the same read traffic on either path.
     """
     from .pipeline import PutChunk, SingleUpdate
 
-    store = engine.store
+    index = engine.store.index
     i, n = 0, len(items)
+    #: items[i] already had this planner's (accounted) lookup: present.
+    found = False
     while i < n:
         key, value = items[i]
-        if key in store.index:
-            yield SingleUpdate(key, value)
-            i += 1
+        if found or key in index:
+            found = False
+            chunk_type, cap = _update_chunking(engine, n)
+            taken = {key}
+            end = i + 1
+            while end < n and end - i < cap:
+                next_key = items[end][0]
+                if next_key in taken or not _present(index, next_key):
+                    break
+                taken.add(next_key)
+                end += 1
+            stretch, i = items[i:end], end
+            if len(stretch) == 1:
+                yield SingleUpdate(key, value)
+                continue
+            for next_key, _ in stretch[1:]:
+                _ = next_key in index  # this planner's check
+            for next_key, _ in stretch:
+                _ = next_key in index  # update_single's check
+            yield chunk_type(stretch)
             continue
-        cap = (
-            n
-            if engine.defer_retrain
-            else store.config.retrain_check_interval
-            - store._mutations_since_check
-        )
+        cap = _retrain_cap(engine, n)
         chunk_keys, chunk_values, taken = [key], [value], {key}
         i += 1
-        pending_update: tuple[bytes, bytes | np.ndarray] | None = None
         while i < n and len(chunk_keys) < cap:
             next_key, next_value = items[i]
             if next_key in taken:
                 break
-            if next_key in store.index:
-                pending_update = (next_key, next_value)
-                i += 1
+            if next_key in index:
+                found = True
                 break
             chunk_keys.append(next_key)
             chunk_values.append(next_value)
             taken.add(next_key)
             i += 1
         yield PutChunk(chunk_keys, chunk_values)
-        if pending_update is not None:
-            yield SingleUpdate(*pending_update)
 
 
 def plan_updates(
@@ -153,21 +202,13 @@ def plan_updates(
     planner — after the pipeline has executed every chunk planned before
     it, like a sequential loop that dies on that key.
     """
-    from .pipeline import UpdateEnduranceChunk, UpdateLatencyChunk
-
-    store = engine.store
-    endurance = store.config.update_mode == "endurance"
-    chunk_type = UpdateEnduranceChunk if endurance else UpdateLatencyChunk
+    index = engine.store.index
     i, n = 0, len(items)
     while i < n:
         key, value = items[i]
-        if key not in store.index:
+        if key not in index:
             raise KeyNotFoundError(f"key {key!r} not found")
-        cap = (
-            store.config.retrain_check_interval - store._mutations_since_check
-            if endurance and not engine.defer_retrain
-            else n
-        )
+        chunk_type, cap = _update_chunking(engine, n)
         chunk: list[tuple[bytes, bytes | np.ndarray]] = [(key, value)]
         taken = {key}
         i += 1
@@ -176,7 +217,7 @@ def plan_updates(
             next_key, next_value = items[i]
             if next_key in taken:
                 break
-            if next_key not in store.index:
+            if next_key not in index:
                 missing_key = next_key
                 i += 1
                 break

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import zlib
+
 import numpy as np
 import pytest
 
@@ -59,3 +63,55 @@ def clustered_values(
     noise_bits = (rng.random((n, width * 8)) < flip_rate).astype(np.uint8)
     noise = np.packbits(noise_bits, axis=1)
     return templates[picks] ^ noise
+
+
+def crc_order(keys: list[bytes]) -> list[bytes]:
+    """A fixed shuffle of ``keys`` unrelated to their insertion order
+    (``hash(bytes)`` is salted per process; CRC-32 is not)."""
+    return sorted(keys, key=zlib.crc32)
+
+
+def near_values(rng: np.random.Generator, old: np.ndarray,
+                keys: list[bytes]) -> list[tuple[bytes, bytes]]:
+    """Values a few bits off rows the zone already holds, so a steered
+    write flips few cells and only some writes land on a worn one."""
+    rows = old[rng.integers(0, len(old), size=len(keys))]
+    noise = np.packbits(rng.random((len(keys), old.shape[1] * 8)) < 0.02, axis=1)
+    return [(key, (rows[i] ^ noise[i]).tobytes())
+            for i, key in enumerate(keys)]
+
+
+def state_digest(store: PNWStore, reports=()) -> str:
+    """SHA-256 of everything a leaf store keeps durably or accounts
+    exactly: data zone, flag bitmap *contents*, index (an NVM index by
+    its slot bytes and its device's read/write accounting), data-zone
+    wear (per address and totals), pool free lists in order, operation
+    counters, retired rows and media counters — plus ``reports`` minus
+    the wall-clock ``predict_ns``.  Flag-region write *counts* are left
+    out on purpose: batching may lower them."""
+    digest = hashlib.sha256()
+
+    def feed(*parts) -> None:
+        for part in parts:
+            if isinstance(part, np.ndarray):
+                part = np.ascontiguousarray(part).tobytes()
+            elif not isinstance(part, bytes):
+                part = repr(part).encode()
+            digest.update(part + b"|")
+
+    feed(store.nvm.snapshot(), store.flags_nvm.snapshot())
+    if hasattr(store.index, "items"):
+        feed(sorted(store.index.items()))
+    else:
+        feed(store.index.nvm.snapshot(), store.index.nvm.stats.summary(),
+             store.index.nvm.stats.writes_per_address)
+    feed(store.nvm.stats.writes_per_address, store.nvm.stats.summary())
+    feed(store.pool._free_lists, store.pool._available)
+    metrics = store.metrics
+    feed(len(store), metrics.puts, metrics.gets, metrics.deletes,
+         metrics.updates, metrics.retrains, metrics.fallbacks)
+    feed(store.manager.model_version, store._mutations_since_check)
+    feed(store.bad_rows.retired_addresses(), store.media_stats.as_dict())
+    for report in list(metrics.reports) + list(reports):
+        feed(dataclasses.replace(report, predict_ns=0.0))
+    return digest.hexdigest()

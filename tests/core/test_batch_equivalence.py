@@ -17,12 +17,20 @@ be <= the sequential path's rather than equal.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro import PNWConfig, PNWStore
+from repro.engine.pipeline import MutationEngine
 from repro.errors import DuplicateKeyError, KeyNotFoundError, PoolExhaustedError
-from tests.conftest import clustered_values
+from tests.conftest import (
+    clustered_values,
+    crc_order,
+    near_values,
+    state_digest,
+)
 
 
 def make_config(**overrides) -> PNWConfig:
@@ -251,6 +259,229 @@ class TestPutEquivalence:
             assert report.key.rstrip(b"\x00").decode().startswith("k")
 
 
+def upsert_batch(shape: str, rng: np.random.Generator,
+                 live: list[bytes]) -> list[tuple[bytes, bytes]]:
+    """One ``put_many`` batch over existing (``live``) and fresh keys."""
+    existing = crc_order(live)
+    fresh = [f"f{i}".encode() for i in range(60)]
+    if shape == "long_stretch":
+        keys = fresh[:3] + existing + fresh[3:6]
+    elif shape == "alternating":
+        keys = [k for pair in zip(fresh, existing) for k in pair]
+    elif shape == "repeat_inside":
+        # existing[2] and existing[40] come back in the middle of a stretch
+        keys = (existing[:30] + [existing[2]] + existing[30:70]
+                + [existing[40], existing[40]] + existing[70:])
+    else:  # "random": short and long stretches, repeats included
+        pool = existing + fresh
+        keys = [pool[int(i)] for i in rng.integers(0, len(pool), size=160)]
+    values = clustered_values(rng, len(keys), 24, flip_rate=0.08)
+    return [(key, values[i].tobytes()) for i, key in enumerate(keys)]
+
+
+def strip_timing(reports):
+    return [dataclasses.replace(r, predict_ns=0.0) for r in reports]
+
+
+def assert_upserts_equal(sequential, batched, seq_reports, bat_reports):
+    """Everything ``assert_stores_equal`` compares, plus the returned
+    and the recorded reports, ``updates``, and — on an NVM index — the
+    index device's bytes *and* its read/write accounting."""
+    assert_stores_equal(sequential, batched)
+    assert strip_timing(seq_reports) == strip_timing(bat_reports)
+    assert strip_timing(sequential.metrics.reports) == strip_timing(
+        batched.metrics.reports
+    )
+    if sequential.config.index_placement == "nvm":
+        assert np.array_equal(
+            sequential.index.nvm.snapshot(), batched.index.nvm.snapshot()
+        )
+        assert (
+            sequential.index.nvm.stats.summary()
+            == batched.index.nvm.stats.summary()
+        )
+    assert state_digest(sequential, seq_reports) == state_digest(
+        batched, bat_reports
+    )
+
+
+class TestUpsertEquivalence:
+    """``put_many`` over existing keys plans grouped update chunks; the
+    result must still be the sequential ``put`` loop's, byte for byte."""
+
+    @pytest.mark.parametrize("index_placement", ["dram", "nvm"])
+    @pytest.mark.parametrize("update_mode", ["endurance", "latency"])
+    @pytest.mark.parametrize(
+        "shape", ["long_stretch", "alternating", "repeat_inside", "random"]
+    )
+    def test_upserts_match_sequential(self, shape, update_mode,
+                                      index_placement):
+        sequential, batched = make_store_pair(
+            update_mode=update_mode, index_placement=index_placement
+        )
+        rng = np.random.default_rng(30)
+        base = fresh_pairs(rng, 110, 24)
+        for store in (sequential, batched):
+            store.put_many(base)
+            store.set_keep_reports(True)
+        batch = upsert_batch(shape, rng, [key for key, _ in base])
+        seq_reports = [sequential.put(key, value) for key, value in batch]
+        bat_reports = batched.put_many(batch)
+        assert batched.metrics.updates >= 50
+        assert_upserts_equal(sequential, batched, seq_reports, bat_reports)
+
+    @pytest.mark.parametrize("index_placement", ["dram", "nvm"])
+    def test_stretch_crossing_the_retrain_cap(self, index_placement):
+        """A stretch longer than the retrain interval is cut where the
+        sequential loop runs its check, and retrains there."""
+        sequential, batched = make_store_pair(
+            load_factor=0.2, retrain_check_interval=16,
+            index_placement=index_placement,
+        )
+        rng = np.random.default_rng(31)
+        base = fresh_pairs(rng, 100, 24)
+        for store in (sequential, batched):
+            store.put_many(base)
+            store.set_keep_reports(True)
+        retrains_before = batched.metrics.retrains
+        batch = upsert_batch("long_stretch", rng, [key for key, _ in base])
+        seq_reports = [sequential.put(key, value) for key, value in batch]
+        bat_reports = batched.put_many(batch)
+        assert batched.metrics.retrains > retrains_before + 1
+        assert any(r.retrained for r in bat_reports[3:-3])
+        assert_upserts_equal(sequential, batched, seq_reports, bat_reports)
+
+    def test_deferred_retrain_groups_past_the_cap(self):
+        sequential, batched = make_store_pair(retrain_check_interval=16)
+        rng = np.random.default_rng(32)
+        base = fresh_pairs(rng, 80, 24)
+        for store in (sequential, batched):
+            store.put_many(base)
+        batch = upsert_batch("long_stretch", rng, [key for key, _ in base])
+        with sequential.engine.deferred_retrain():
+            seq_reports = [sequential.put(key, value) for key, value in batch]
+        with batched.engine.deferred_retrain():
+            bat_reports = batched.put_many(batch)
+        assert_upserts_equal(sequential, batched, seq_reports, bat_reports)
+
+    def test_pool_exhaustion_between_stretches(self):
+        """A tiny zone fills up in the fresh run between two stretches:
+        both paths die on the same key, leave the same state, and the
+        error names exactly the pairs the sequential loop landed."""
+        sequential, batched = make_store_pair(num_buckets=16, n_clusters=2)
+        rng = np.random.default_rng(33)
+        base = fresh_pairs(rng, 12, 24)
+        for store in (sequential, batched):
+            store.put_many(base)
+            store.set_keep_reports(True)
+        existing = crc_order([key for key, _ in base])
+        keys = (existing[:8] + [f"f{i}".encode() for i in range(6)]
+                + existing[8:])
+        values = clustered_values(rng, len(keys), 24, flip_rate=0.08)
+        batch = [(key, values[i].tobytes()) for i, key in enumerate(keys)]
+        seq_reports = []
+        with pytest.raises(PoolExhaustedError):
+            for key, value in batch:
+                seq_reports.append(sequential.put(key, value))
+        with pytest.raises(PoolExhaustedError) as excinfo:
+            batched.put_many(batch)
+        assert len(seq_reports) == 8 + 4
+        assert_upserts_equal(
+            sequential, batched, seq_reports, excinfo.value.committed_reports
+        )
+
+    def test_flush_sized_upsert_is_a_handful_of_chunks(self, monkeypatch):
+        """Regression guard, no tracer needed: 256 existing keys used to
+        execute 768 chunks (a SingleUpdate nesting a one-key delete and
+        a one-key put, per key)."""
+        executed: list[str] = []
+        drive = MutationEngine._drive
+
+        def counting_drive(engine, chunks):
+            def tap():
+                for chunk in chunks:
+                    executed.append(type(chunk).__name__)
+                    yield chunk
+            return drive(engine, tap())
+
+        _, store = make_store_pair(num_buckets=512)
+        rng = np.random.default_rng(34)
+        base = fresh_pairs(rng, 256, 24)
+        store.put_many(base)
+        values = clustered_values(rng, 256, 24, flip_rate=0.08)
+        batch = [
+            (key, values[i].tobytes())
+            for i, key in enumerate(crc_order([key for key, _ in base]))
+        ]
+        monkeypatch.setattr(MutationEngine, "_drive", counting_drive)
+        store.put_many(batch)
+        assert len(executed) <= 4, executed
+        assert set(executed) == {"UpdateEnduranceChunk"}
+
+
+#: ``state_digest`` of :func:`media_fault_scenario` at the parent commit
+#: (d4fca48, before grouped upserts and the vectorized bitmap).
+MEDIA_FAULT_DIGEST = "9e1626ae416d679d0dc78b97778fe2c3fe8afbd3b554119cdcd823dfc4650a22"
+
+
+def worn_store() -> tuple[PNWStore, np.ndarray]:
+    """A warmed store with 2% of its cells worn out (budget 0: the
+    first flip attempt sticks them), and the rows it was warmed with."""
+    store = PNWStore(make_config(
+        media_fault_rate=0.02, media_retire_watermark=1.0,
+    ))
+    old = clustered_values(np.random.default_rng(42), 256, 24)
+    store.warm_up(old)
+    store.set_keep_reports(True)
+    return store, old
+
+
+def media_fault_scenario() -> PNWStore:
+    """Steered PUT chunks, isolated upserts (stretches of one) and a
+    batched delete on worn media: every write-verify, relocation and
+    retirement path of ``put_many`` / ``delete_many`` fires, through the
+    code this suite's subject rewrote (plan carving, ``_flush_puts``,
+    the bitmap setters)."""
+    store, old = worn_store()
+    rng = np.random.default_rng(43)
+    base = [f"k{i}".encode() for i in range(90)]
+    store.put_many(near_values(rng, old, base))
+    fresh = [f"f{i}".encode() for i in range(40)]
+    alternating = [k for pair in zip(fresh, crc_order(base)) for k in pair]
+    store.put_many(near_values(rng, old, alternating))
+    store.delete_many(crc_order(base)[:40])
+    return store
+
+
+class TestMediaFaults:
+    def test_put_many_state_is_the_parent_commits(self):
+        store = media_fault_scenario()
+        assert store.media_stats.verify_failures > 0
+        assert store.media_stats.relocations > 0
+        assert store.media_stats.rows_retired > 0
+        assert state_digest(store) == MEDIA_FAULT_DIGEST
+
+    def test_grouped_stretch_on_worn_media_keeps_every_acked_write(self):
+        """A grouped stretch verifies after the chunk's pops — as
+        ``update_many`` always has — so under faults it is not the
+        sequential loop's state; the media contract is what must hold:
+        every acknowledged pair reads back from a healthy, flagged row."""
+        store, old = worn_store()
+        rng = np.random.default_rng(44)
+        base = [f"k{i}".encode() for i in range(90)]
+        store.put_many(near_values(rng, old, base))
+        relocations_before = store.media_stats.relocations
+        batch = near_values(rng, old, crc_order(base))
+        reports = store.put_many(batch)
+        assert store.media_stats.relocations > relocations_before
+        assert store.metrics.updates == 90
+        assert len(store) == len(reports) == 90
+        for (key, value), report in zip(batch, reports):
+            assert store.get(key) == value
+            assert store._is_valid(report.address)
+            assert not store.bad_rows.is_retired(report.address)
+
+
 class TestDeleteEquivalence:
     def test_delete_many_matches_sequential(self):
         sequential, batched = make_store_pair()
@@ -326,6 +557,31 @@ class TestUpdateEquivalence:
         new_values = clustered_values(rng, 30, 24, flip_rate=0.1)
         updates = [
             (pairs[i][0], new_values[i].tobytes()) for i in range(30)
+        ]
+        for key, value in updates:
+            sequential.update(key, value)
+        batched.update_many(updates)
+        assert_stores_equal(sequential, batched)
+        assert (
+            sequential.index.nvm.stats.summary()
+            == batched.index.nvm.stats.summary()
+        )
+
+    def test_update_many_nvm_index_out_of_insertion_order(self):
+        """A path-hashing index places a key by which slots are empty
+        *now*: the chunk must remove and re-insert entries key by key,
+        not all removals first (regression: with 200 keys updated in an
+        order other than their insertion order, two keys sharing a slot
+        candidate used to swap places relative to the sequential run)."""
+        sequential, batched = make_store_pair(index_placement="nvm")
+        rng = np.random.default_rng(16)
+        pairs = fresh_pairs(rng, 200, 24)
+        for store in (sequential, batched):
+            store.put_many(pairs)
+        new_values = clustered_values(rng, 200, 24, flip_rate=0.1)
+        updates = [
+            (key, new_values[i].tobytes())
+            for i, key in enumerate(crc_order([key for key, _ in pairs]))
         ]
         for key, value in updates:
             sequential.update(key, value)
