@@ -111,7 +111,6 @@ def make_pnw_store(
     track_bit_wear: bool = False,
     allow_retrain: bool = False,
     update_mode: str = "endurance",
-    index_placement: str = "dram",
     probe_limit: int = 64,
     shards: int = 1,
     executor: str = "thread",
@@ -138,7 +137,6 @@ def make_pnw_store(
         pca_components=pca_components,
         track_bit_wear=track_bit_wear,
         update_mode=update_mode,
-        index_placement=index_placement,
         probe_limit=probe_limit,
         shards=shards,
         executor=executor,
@@ -317,7 +315,6 @@ def run_pnw_kv_stream(
         key_bytes=KEY_BYTES,
         n_clusters=n_clusters,
         seed=seed,
-        index_placement="dram",
         persist_flags=False,
         load_factor=0.9,
         retrain_check_interval=128,

@@ -16,6 +16,9 @@ class PNWConfig:
     The defaults mirror the paper's evaluation setup where it states one
     (k from the Fig. 6 sweeps, 4-byte words, 64-byte cache lines, load
     factor-driven retraining) and sensible engineering choices elsewhere.
+    The key index is always the DRAM hash of Fig. 2a; the paper's Fig.
+    2b NVM path hashing is the standalone
+    :class:`~repro.stores.pathhash_store.PathHashKVStore` baseline.
 
     Parameters
     ----------
@@ -28,9 +31,6 @@ class PNWConfig:
         ``key_bytes + value_bytes`` (the K/V pair, §V-A).
     n_clusters:
         K for the k-means model.
-    index_placement:
-        ``"dram"`` (Fig. 2a — wear-free, rebuilt on recovery) or
-        ``"nvm"`` (Fig. 2b — persistent path hashing, wear accounted).
     featurizer:
         ``"bit"`` — one feature per bit (exact Hamming geometry, right for
         small values); ``"byte"`` — one feature per byte (cheap for large
@@ -120,19 +120,16 @@ class PNWConfig:
         weakened cell draws an endurance budget of remaining successful
         flips from the seeded :class:`~repro.nvm.faults.FaultModel`; a
         flip attempted past the budget fails and the cell becomes
-        stuck-at its current value.  Requires ``seed`` so the faulty
-        cell set is deterministic (and reproducible by a respawned
-        process worker).
+        stuck-at its current value.  With the model on, every
+        commit-stage write is read-back-verified and an op that landed
+        on stuck bits is relocated (its row retired).  Requires ``seed``
+        so the faulty cell set is deterministic (and reproducible by a
+        respawned process worker).
     media_fault_budget:
         Upper bound of the per-cell endurance budget draw
         (``rng.integers(0, budget + 1)``).  ``0`` means every weakened
         cell starts depleted — the first flip attempt sticks it — which
         is the acceptance-test configuration.
-    media_verify:
-        Read-back-verify every commit-stage write and relocate ops that
-        landed on stuck bits (retiring the faulty row).  On by default;
-        turn off only for ablation benchmarks that want to *measure*
-        silent corruption.
     media_retire_watermark:
         Fraction of ``num_buckets`` whose retirement flips the store
         into degraded mode: further ``put``/``update`` batches are shed
@@ -149,12 +146,6 @@ class PNWConfig:
         while a meaningfully freer sibling exists, whole virtual
         buckets of keys are migrated between zones through the ordinary
         engine batch pipeline.  A plain :class:`PNWStore` ignores it.
-    rebalance_policy:
-        Which bucket-move planner a rebalance pass runs: ``"greedy"``
-        (repeated best-single-move local search minimizing the maximum
-        fractional shard load, warm-started from the current table) or
-        ``"hot_bucket"`` (move only the single hottest bucket off the
-        most loaded shard per pass).
     router_vbuckets:
         Virtual buckets *per shard* in the routing table (the universe
         is ``router_vbuckets * shards``).  More buckets mean finer
@@ -171,19 +162,12 @@ class PNWConfig:
         Keys per migration batch: a bucket's keys are copied (and later
         deleted from the donor) in engine-stage batches of at most this
         many, bounding what one mid-migration crash can leave behind.
-    rebalance_wear_factor:
-        Optional wear trigger: ``> 0`` additionally fires a rebalance
-        pass when the max/min per-shard mean-wear ratio exceeds this
-        factor, and breaks recipient ties toward the least-worn shard
-        (the SoftWear-style wear-leveling flavour of the same move).
-        ``0`` (default) leaves occupancy as the only trigger.
     """
 
     num_buckets: int
     value_bytes: int
     key_bytes: int = 8
     n_clusters: int = 8
-    index_placement: str = "dram"
     featurizer: str = "auto"
     pca_components: int | None = None
     update_mode: str = "endurance"
@@ -209,15 +193,12 @@ class PNWConfig:
     tier_flush_ops: int = 1024
     media_fault_rate: float = 0.0
     media_fault_budget: int = 0
-    media_verify: bool = True
     media_retire_watermark: float = 0.05
     rebalance_mode: str = "off"
-    rebalance_policy: str = "greedy"
     router_vbuckets: int = 64
     rebalance_low_watermark: float = 0.2
     rebalance_check_interval: int = 32
     rebalance_max_keys: int = 256
-    rebalance_wear_factor: float = 0.0
 
     def __post_init__(self) -> None:
         if self.num_buckets <= 0:
@@ -228,10 +209,6 @@ class PNWConfig:
             raise ConfigError(f"key_bytes must be positive, got {self.key_bytes}")
         if self.n_clusters < 1:
             raise ConfigError(f"n_clusters must be >= 1, got {self.n_clusters}")
-        if self.index_placement not in ("dram", "nvm"):
-            raise ConfigError(
-                f"index_placement must be 'dram' or 'nvm', got {self.index_placement!r}"
-            )
         if self.featurizer not in ("auto", "bit", "byte"):
             raise ConfigError(
                 f"featurizer must be 'auto', 'bit' or 'byte', got {self.featurizer!r}"
@@ -302,11 +279,6 @@ class PNWConfig:
                 f"rebalance_mode must be 'off' or 'watermark', "
                 f"got {self.rebalance_mode!r}"
             )
-        if self.rebalance_policy not in ("greedy", "hot_bucket"):
-            raise ConfigError(
-                f"rebalance_policy must be 'greedy' or 'hot_bucket', "
-                f"got {self.rebalance_policy!r}"
-            )
         if self.router_vbuckets < 1:
             raise ConfigError(
                 f"router_vbuckets must be >= 1, got {self.router_vbuckets}"
@@ -324,11 +296,6 @@ class PNWConfig:
         if self.rebalance_max_keys < 1:
             raise ConfigError(
                 f"rebalance_max_keys must be >= 1, got {self.rebalance_max_keys}"
-            )
-        if self.rebalance_wear_factor < 0.0:
-            raise ConfigError(
-                f"rebalance_wear_factor must be >= 0, "
-                f"got {self.rebalance_wear_factor}"
             )
         if self.media_fault_rate > 0.0 and self.seed is None:
             raise ConfigError(

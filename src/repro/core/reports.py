@@ -34,7 +34,6 @@ class OperationReport:
     lines_touched: int
     nvm_latency_ns: float
     predict_ns: float
-    index_lines: int
     retrained: bool
 
     @property
@@ -66,7 +65,6 @@ class OperationReport:
             lines_touched=0,
             nvm_latency_ns=0.0,
             predict_ns=0.0,
-            index_lines=0,
             retrained=False,
         )
 

@@ -1,8 +1,8 @@
 """The PNW key/value store (paper §V, Figures 2 and 5, Algorithms 1-3).
 
 ``PNWStore`` wires the four components of the paper's architecture
-together: the ML model and dynamic address pool on DRAM, the hash index
-on DRAM or NVM, and the K/V data zone on NVM.
+together: the ML model, dynamic address pool and hash index on DRAM
+(Fig. 2a), and the K/V data zone on NVM.
 
 The store's PUT path is Algorithm 2: predict the cluster of the
 to-be-written pair, pop the most similar free address from the pool,
@@ -37,7 +37,6 @@ from ..engine.pipeline import MutationEngine
 from ..errors import DegradedModeError, MediaError, PoolExhaustedError, ReproError
 from ..index.base import KeyIndex
 from ..index.dram_hash import DRAMHashIndex
-from ..index.path_hashing import PathHashingIndex
 from ..nvm.device import SimulatedNVM
 from ..nvm.faults import FaultModel
 from ..nvm.hybrid import HybridMemory
@@ -181,16 +180,7 @@ class PNWStore:
         self._mutations_since_check = 0
 
     def _build_index(self) -> KeyIndex:
-        if self.config.index_placement == "dram":
-            return DRAMHashIndex(self.config.key_bytes, self.memory.dram)
-        # Size the path-hashing top level so total capacity comfortably
-        # exceeds the data zone (top level alone >= num_buckets).
-        exponent = max(3, int(np.ceil(np.log2(self.config.num_buckets))) + 1)
-        return PathHashingIndex(
-            self.config.key_bytes,
-            levels_exponent=exponent,
-            reserved_levels=min(4, exponent + 1),
-        )
+        return DRAMHashIndex(self.config.key_bytes, self.memory.dram)
 
     # ------------------------------------------------------------------ #
     # helpers                                                             #
@@ -294,11 +284,6 @@ class PNWStore:
         word = self.flags_nvm.peek(word_id)
         byte_id, bit_in_byte = divmod(bit, 8)
         return bool(word[byte_id] >> bit_in_byte & 1)
-
-    def _index_lines_snapshot(self) -> int:
-        if isinstance(self.index, PathHashingIndex):
-            return self.index.nvm.stats.total_lines_touched
-        return 0
 
     # ------------------------------------------------------------------ #
     # lifecycle                                                           #
@@ -578,8 +563,7 @@ class PNWStore:
         self.manager = ModelManager(self.config)
         self.pool = self._new_pool(1)
         self.pool.rebuild(np.array([], dtype=np.int64), np.array([], dtype=np.int64))
-        if self.config.index_placement == "dram":
-            self.index = self._build_index()
+        self.index = self._build_index()
         self._live_count = 0
         if self.scrubber is not None:
             self.scrubber.reset()
@@ -588,9 +572,10 @@ class PNWStore:
         """Rebuild all DRAM state from NVM (§V-A1: the model "can be
         reconstructed after a crash").
 
-        Scans the validity bitmap, re-inserts live keys into a fresh DRAM
-        index (NVM indexes survive on their own), retrains the model on
-        the zone, and refiles free addresses into the pool.
+        Scans the validity bitmap, re-inserts live keys into the DRAM
+        index when it is empty (after :meth:`crash`; a live index is
+        kept as is), retrains the model on the zone, and refiles free
+        addresses into the pool.
         """
         if self._valid_dram is not None:
             raise ReproError(
@@ -600,7 +585,7 @@ class PNWStore:
             )
         valid = self._valid_mask()
         live = np.flatnonzero(valid)
-        if self.config.index_placement == "dram" and len(self.index) == 0:
+        if len(self.index) == 0:
             keys = np.asarray(self.nvm.contents)[live, : self.config.key_bytes]
             for address, key in zip(live.tolist(), keys):
                 self.index.put(key.tobytes(), address)

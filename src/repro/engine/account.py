@@ -50,7 +50,6 @@ def account_puts(
             lines_touched=commit.write_reports[i].lines_touched,
             nvm_latency_ns=commit.write_reports[i].latency_ns,
             predict_ns=predict_ns,
-            index_lines=commit.index_lines[i],
             retrained=commit.retrained[i],
         )
         metrics.record(op)
@@ -79,7 +78,6 @@ def account_deletes(
             lines_touched=0,
             nvm_latency_ns=0.0,
             predict_ns=steering.predict_ns,
-            index_lines=0,
             retrained=False,
         )
         metrics.record(op)
@@ -118,7 +116,6 @@ def account_endurance_updates(
             lines_touched=commit.write_reports[i].lines_touched,
             nvm_latency_ns=commit.write_reports[i].latency_ns,
             predict_ns=steering.predict_ns,
-            index_lines=commit.index_lines[i],
             retrained=commit.retrained[i],
         )
         metrics.record(op)
@@ -149,7 +146,6 @@ def account_latency_updates(
             lines_touched=write_report.lines_touched,
             nvm_latency_ns=write_report.latency_ns,
             predict_ns=0.0,
-            index_lines=0,
             retrained=False,
         )
         metrics.record(op)

@@ -12,7 +12,7 @@ behind when it dies on that PUT) and the escaping exception is stamped
 with the prefix's reports before it reaches the pipeline driver.
 
 **Write-verify.**  On a media-enabled store
-(:attr:`PNWConfig.media_enabled` + ``media_verify``) every chunk's
+(:attr:`PNWConfig.media_enabled`) every chunk's
 device writes are read back and compared before any flag or index entry
 is set: an op whose row came back wrong (stuck cells) is *relocated* —
 its faulty row retired, a fresh candidate popped through the same
@@ -60,7 +60,6 @@ class PutCommit:
     addresses: np.ndarray
     fallbacks: np.ndarray
     write_reports: list
-    index_lines: list[int]
     retrained: list[bool]
 
 
@@ -116,17 +115,10 @@ def _flush_puts(
     fallbacks: np.ndarray,
     clusters: np.ndarray | None = None,
     orders=None,
-    replacing: bool = False,
 ) -> PutCommit:
     """Flush a chunk of placed PUTs: multi-row write, write-verify (on
     media-enabled stores), coalesced flag bits, then per-op index
     inserts and retrain checks, in order.
-
-    With ``replacing`` the chunk is the put half of endurance updates:
-    each key's old index entry is removed right before its new one is
-    inserted, so the index sees delete, insert, delete, insert — the
-    sequential order, which is what a placement-sensitive (path-hashing)
-    index needs to end up with the same slots.
 
     Deferring the data writes to one multi-row commit is safe because
     chunk writes only land on just-popped addresses, which are no longer
@@ -146,7 +138,7 @@ def _flush_puts(
     fallbacks = fallbacks[:m]
     write_reports = store.nvm.write_many(addresses, payloads[:m])
     good, pool_exc = m, None
-    if m and store.config.media_enabled and store.config.media_verify:
+    if m and store.config.media_enabled:
         addresses = addresses.copy()
         good, pool_exc = _verify_chunk(
             engine, payloads, addresses, write_reports, clusters, orders
@@ -155,19 +147,14 @@ def _flush_puts(
         store._set_valid_many(addresses[:good], True)
         if store.scrubber is not None:
             store.scrubber.note_many(addresses[:good], payloads[:good])
-    index_lines: list[int] = []
     retrained: list[bool] = []
     for i in range(good):
-        if replacing:
-            _unindex_replaced(store, keys[i])
-        lines_before = store._index_lines_snapshot()
         store.index.put(keys[i], int(addresses[i]))
-        index_lines.append(store._index_lines_snapshot() - lines_before)
         store._live_count += 1
         store.metrics.puts += 1
         retrained.append(store._maybe_retrain())
     committed = PutCommit(addresses[:good], fallbacks[:good], write_reports[:good],
-                          index_lines, retrained)
+                          retrained)
     if pool_exc is not None:
         pool_exc.flushed_commit = committed
         raise pool_exc
@@ -301,15 +288,17 @@ def replay_update_deletes(
 ) -> list[OperationReport]:
     """Store-side half of the first ``count`` endurance-update deletes,
     whose pool-side releases the probe engine already interleaved with
-    the pops: counters per key and one flag reset for all ``count`` old
-    rows — before the put half sets its flags, so a row released and
-    re-popped inside the chunk ends up set.  The index half runs later,
-    interleaved with the inserts (``_flush_puts(replacing=True)``).
-    Builds (but does not record) the delete reports — the account stage
-    interleaves them with the put reports."""
+    the pops: index removal and counters per key and one flag reset for
+    all ``count`` old rows — before the put half sets its flags, so a
+    row released and re-popped inside the chunk ends up set.  Removing
+    every old entry before the inserts leaves the DRAM index with the
+    same entries in the same order as the sequential delete, insert,
+    delete, insert.  Builds (but does not record) the delete reports —
+    the account stage interleaves them with the put reports."""
     store = engine.store
     reports: list[OperationReport] = []
     for i in range(count):
+        store.index.delete(keys[i])
         store.metrics.updates += 1
         store._live_count -= 1
         store.metrics.deletes += 1
@@ -325,7 +314,6 @@ def replay_update_deletes(
                 lines_touched=0,
                 nvm_latency_ns=0.0,
                 predict_ns=predict_ns,
-                index_lines=0,
                 retrained=False,
             )
         )
@@ -333,16 +321,6 @@ def replay_update_deletes(
         [address for address, _ in releases[:count]], False
     )
     return reports
-
-
-def _unindex_replaced(store, key: bytes) -> None:
-    """Index half of one endurance-update delete: drop the old entry,
-    then replay the PUT-side membership check of the sequential path
-    (update -> put -> "key in index", always False here).  On an NVM
-    index that lookup is accounted read traffic, and skipping it would
-    make batched and sequential runs report different index wear."""
-    store.index.delete(key)
-    _ = key in store.index
 
 
 def commit_endurance_updates(
@@ -361,8 +339,8 @@ def commit_endurance_updates(
     later one).  The store-side half of each delete touches neither the
     pool nor the data zone, so replaying it after the bulk pop leaves
     identical state and identical accounting: counters and one flag
-    reset up front, the index removal right before the same key's
-    insert.
+    reset up front, and every old index entry removed before the
+    inserts.
 
     Returns ``(put_commit, delete_reports, committed)``.  A trailing
     delete whose steered PUT found the pool empty is still returned
@@ -391,15 +369,13 @@ def commit_endurance_updates(
     try:
         put_commit = _flush_puts(
             engine, keys[:committed], payloads, new_addresses, fallbacks,
-            steering.put_clusters, steering.orders, replacing=True,
+            steering.put_clusters, steering.orders,
         )
     except PoolExhaustedError as exc:
         _account_update_flush_failure(engine, exc, keys, steering,
                                       delete_reports)
         raise
     if pool_exc is not None:
-        for key in keys[committed:applied]:
-            _unindex_replaced(store, key)
         pool_exc.chunk_reports = account.account_endurance_updates(
             engine, keys, steering, put_commit, delete_reports, committed
         )
@@ -419,15 +395,13 @@ def _account_update_flush_failure(
 
     The verified put prefix is accounted as usual; delete halves past
     the prefix *did* land (their keys are gone, their rows unflagged,
-    their put rows released back to the pool), so their index entries
-    are dropped and their reports are recorded in the metrics just like
-    the single trailing delete the account stage already handles."""
+    their put rows released back to the pool), so their reports are
+    recorded in the metrics just like the single trailing delete the
+    account stage already handles."""
     flushed = exc.__dict__.pop("flushed_commit", None)
     if flushed is None:
         raise exc
     good = len(flushed.write_reports)
-    for key in keys[good:len(delete_reports)]:
-        _unindex_replaced(engine.store, key)
     exc.chunk_reports = account.account_endurance_updates(
         engine, keys, steering, flushed, delete_reports, good
     )
@@ -484,7 +458,7 @@ def commit_latency_updates(
     addresses = np.array([store.index.get(key) for key in keys],
                          dtype=np.int64)
     write_reports = store.nvm.write_many(addresses, payloads)
-    if store.config.media_enabled and store.config.media_verify:
+    if store.config.media_enabled:
         for i, key in enumerate(keys):
             try:
                 addresses[i], write_reports[i] = verify_latency_update(

@@ -308,7 +308,7 @@ class MutationEngine:
         address = store.index.get(key)
         payload = plan.encode_pairs(store.config, [key], [value])[0]
         report = store.nvm.write(address, payload)
-        if store.config.media_enabled and store.config.media_verify:
+        if store.config.media_enabled:
             try:
                 address, report = commit.verify_latency_update(
                     self, key, int(address), payload, report
@@ -327,7 +327,6 @@ class MutationEngine:
             lines_touched=report.lines_touched,
             nvm_latency_ns=report.latency_ns,
             predict_ns=0.0,
-            index_lines=0,
             retrained=False,
         )
         store.metrics.record(op)

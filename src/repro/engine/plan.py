@@ -114,16 +114,6 @@ def _update_chunking(engine: "MutationEngine", n: int) -> tuple[type, int]:
     return UpdateLatencyChunk, n
 
 
-def _present(index, key: bytes) -> bool:
-    """Membership through the *unaccounted* ``peek``: look-ahead that
-    must not add NVM-index reads the sequential loop never makes."""
-    try:
-        index.peek(key)
-    except KeyNotFoundError:
-        return False
-    return True
-
-
 def plan_puts(
     engine: "MutationEngine", items: list[tuple[bytes, bytes | np.ndarray]]
 ) -> Iterator["Chunk"]:
@@ -139,28 +129,20 @@ def plan_puts(
     and, in endurance mode, at the retrain cap), so a flush of N dirty
     existing keys costs a handful of chunks, not N; a stretch of one is
     a :class:`SingleUpdate`, the sequential PUT of an existing key.
-
-    A sequential upsert looks its key up twice where it is present —
-    this planner's check, then ``update_single``'s — before the update
-    itself runs; both are replayed here for a grouped stretch, so an
-    NVM index reports the same read traffic on either path.
     """
     from .pipeline import PutChunk, SingleUpdate
 
     index = engine.store.index
     i, n = 0, len(items)
-    #: items[i] already had this planner's (accounted) lookup: present.
-    found = False
     while i < n:
         key, value = items[i]
-        if found or key in index:
-            found = False
+        if key in index:
             chunk_type, cap = _update_chunking(engine, n)
             taken = {key}
             end = i + 1
             while end < n and end - i < cap:
                 next_key = items[end][0]
-                if next_key in taken or not _present(index, next_key):
+                if next_key in taken or next_key not in index:
                     break
                 taken.add(next_key)
                 end += 1
@@ -168,10 +150,6 @@ def plan_puts(
             if len(stretch) == 1:
                 yield SingleUpdate(key, value)
                 continue
-            for next_key, _ in stretch[1:]:
-                _ = next_key in index  # this planner's check
-            for next_key, _ in stretch:
-                _ = next_key in index  # update_single's check
             yield chunk_type(stretch)
             continue
         cap = _retrain_cap(engine, n)
@@ -179,10 +157,7 @@ def plan_puts(
         i += 1
         while i < n and len(chunk_keys) < cap:
             next_key, next_value = items[i]
-            if next_key in taken:
-                break
-            if next_key in index:
-                found = True
+            if next_key in taken or next_key in index:
                 break
             chunk_keys.append(next_key)
             chunk_values.append(next_value)

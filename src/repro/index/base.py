@@ -3,8 +3,11 @@
 PNW needs exactly one property from its index (paper §V-A3): mapping a
 logical key to an *arbitrary* physical address, so the store is free to
 steer values anywhere.  Implementations differ in placement: the DRAM
-index is wear-free but must be rebuilt after a crash; the NVM path-hashing
-index persists but its writes cost endurance (and are accounted).
+index (Fig. 2a) is wear-free but must be rebuilt after a crash, and is
+the one :class:`~repro.core.store.PNWStore` uses; the NVM path-hashing
+index (Fig. 2b) persists but its writes cost endurance (and are
+accounted) — it stands alone, sharing its layout with the Fig. 9
+:class:`~repro.stores.pathhash_store.PathHashKVStore` baseline.
 """
 
 from __future__ import annotations

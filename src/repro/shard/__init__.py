@@ -1,7 +1,7 @@
 """Sharded PNW: hash-partitioned zones with concurrent batch pipelines."""
 
 from .procpool import ShardProcessClient
-from .rebalance import POLICIES, Rebalancer
+from .rebalance import Rebalancer
 from .router import (
     ROUTER_SEED,
     RouterStats,
@@ -13,7 +13,6 @@ from .router import (
 from .store import ShardedPNWStore, make_store, shard_configs
 
 __all__ = [
-    "POLICIES",
     "ROUTER_SEED",
     "Rebalancer",
     "RouterStats",

@@ -4,10 +4,12 @@ FNV routing assumes every zone's pool drains evenly; skewed streams
 empty one shard while siblings idle.  This module treats key→shard
 assignment as a balanced-partition problem over the router's virtual
 buckets (:class:`~repro.shard.router.RoutingTable`): a
-:class:`Rebalancer` watches per-shard pool-occupancy (and optionally
-wear) watermarks and, when a shard is starved while a meaningfully
-freer sibling exists, migrates whole virtual buckets of keys between
-zones.
+:class:`Rebalancer` watches per-shard pool-occupancy watermarks and,
+when a shard is starved while a meaningfully freer sibling exists,
+migrates whole virtual buckets of keys between zones, planned by
+:func:`greedy_moves` (repeated best-single-move local search
+minimizing the maximum fractional shard load, warm-started from the
+current table — the balanced-districting flavour).
 
 **Migrations are engine-stage batches.**  A bucket moves as ordinary
 ``get_many`` (donor) → ``put_many`` (recipient) → ``delete_many``
@@ -40,16 +42,6 @@ locks, so the discipline stays cycle-free.  Retrain checks are
 deferred during migration batches (``MutationEngine.defer_retrain``):
 a full K-Means refit inside the all-locks migration window would stall
 every producer.
-
-Policies are pluggable via ``PNWConfig.rebalance_policy``:
-
-========== ============================================================
-greedy      repeated best-single-move local search minimizing the
-            maximum fractional shard load, warm-started from the
-            current table (the balanced-districting flavour).
-hot_bucket  move only the single heaviest bucket off the most loaded
-            shard per pass (minimal-churn flavour).
-========== ============================================================
 """
 
 from __future__ import annotations
@@ -68,12 +60,10 @@ from ..errors import (
 from .router import hash_keys
 
 __all__ = [
-    "POLICIES",
     "Rebalancer",
     "RoutingLatch",
     "SimulatedRebalanceCrash",
     "greedy_moves",
-    "hot_bucket_moves",
 ]
 
 
@@ -153,7 +143,7 @@ class RoutingLatch:
 
 
 # ---------------------------------------------------------------------- #
-# move policies                                                           #
+# move planner                                                            #
 # ---------------------------------------------------------------------- #
 
 def _improves(load, capacities, donor, recipient, count) -> bool:
@@ -166,28 +156,17 @@ def _improves(load, capacities, donor, recipient, count) -> bool:
     return after < before
 
 
-def _recipient_order(load, capacities, wear) -> np.ndarray:
-    """Shards by ascending fractional load; mean wear breaks near-ties
-    toward the least-worn shard when the wear trigger is armed."""
-    frac = load / capacities
-    if wear is None:
-        return np.argsort(frac, kind="stable")
-    worn = wear / max(float(wear.max()), 1.0)
-    return np.argsort(frac + 1e-6 * worn, kind="stable")
-
-
 def greedy_moves(
     bucket_counts: np.ndarray,
     table: np.ndarray,
     capacities: np.ndarray,
-    wear: np.ndarray | None = None,
-    max_moves: int | None = None,
 ) -> list[tuple[int, int]]:
     """Repeated best-single-move local search, warm-started from
     ``table``: move the heaviest improving bucket from the most loaded
     shard (fractionally) to the least loaded, until no single move
-    lowers the pair's maximum load.  Returns ``(bucket, recipient)``
-    moves in application order.
+    lowers the pair's maximum load.  Recipients are tried in ascending
+    fractional load, equal loads by ascending shard id.  Returns
+    ``(bucket, recipient)`` moves in application order.
     """
     table = table.copy()
     capacities = np.asarray(capacities, dtype=np.float64)
@@ -195,14 +174,12 @@ def greedy_moves(
     load = np.zeros(n_shards, dtype=np.int64)
     for shard in range(n_shards):
         load[shard] = int(bucket_counts[table == shard].sum())
-    if max_moves is None:
-        max_moves = len(table)
     moves: list[tuple[int, int]] = []
-    for _ in range(max_moves):
+    for _ in range(len(table)):
         frac = load / capacities
         donor = int(np.argmax(frac))
         best: tuple[int, int] | None = None
-        for candidate in _recipient_order(load, capacities, wear):
+        for candidate in np.argsort(frac, kind="stable"):
             recipient = int(candidate)
             if recipient == donor:
                 continue
@@ -227,41 +204,6 @@ def greedy_moves(
         load[recipient] += count
         moves.append((bucket, recipient))
     return moves
-
-
-def hot_bucket_moves(
-    bucket_counts: np.ndarray,
-    table: np.ndarray,
-    capacities: np.ndarray,
-    wear: np.ndarray | None = None,
-    max_moves: int | None = None,
-) -> list[tuple[int, int]]:
-    """Minimal-churn policy: one move per pass — the heaviest bucket of
-    the most loaded shard to the least loaded shard, if it improves."""
-    capacities = np.asarray(capacities, dtype=np.float64)
-    n_shards = len(capacities)
-    load = np.zeros(n_shards, dtype=np.int64)
-    for shard in range(n_shards):
-        load[shard] = int(bucket_counts[table == shard].sum())
-    donor = int(np.argmax(load / capacities))
-    owned = np.flatnonzero(table == donor)
-    if owned.size == 0:
-        return []
-    bucket = int(owned[int(np.argmax(bucket_counts[owned]))])
-    count = int(bucket_counts[bucket])
-    if count <= 0:
-        return []
-    for candidate in _recipient_order(load, capacities, wear):
-        recipient = int(candidate)
-        if recipient == donor:
-            continue
-        if _improves(load, capacities, donor, recipient, count):
-            return [(bucket, recipient)]
-        break
-    return []
-
-
-POLICIES = {"greedy": greedy_moves, "hot_bucket": hot_bucket_moves}
 
 
 # ---------------------------------------------------------------------- #
@@ -330,25 +272,10 @@ class Rebalancer:
         )
         return free / self._capacities
 
-    def _wear_means(self) -> np.ndarray:
-        writes = np.array(
-            [store.nvm.stats.total_writes for store in self.store.stores],
-            dtype=np.float64,
-        )
-        return writes / self._capacities
-
     def _should_rebalance(self, free_frac: np.ndarray) -> bool:
         low = self.config.rebalance_low_watermark
         spread = float(free_frac.max() - free_frac.min())
-        if float(free_frac.min()) < low and spread > low:
-            return True
-        if self.config.rebalance_wear_factor > 0.0:
-            wear = self._wear_means()
-            if float(wear.max()) > 0.0:
-                floor = max(float(wear.min()), 1.0)
-                if float(wear.max()) / floor > self.config.rebalance_wear_factor:
-                    return True
-        return False
+        return float(free_frac.min()) < low and spread > low
 
     # -------------------------------------------------------------- #
     # one pass                                                        #
@@ -381,15 +308,7 @@ class Rebalancer:
             np.add.at(bucket_counts, buckets, 1)
             for key, bucket in zip(keys, buckets.tolist()):
                 resident.setdefault((shard_id, bucket), []).append(key)
-        wear = (
-            self._wear_means()
-            if self.config.rebalance_wear_factor > 0.0
-            else None
-        )
-        policy = POLICIES[self.config.rebalance_policy]
-        moves = policy(
-            bucket_counts, table.snapshot(), self._capacities, wear=wear
-        )
+        moves = greedy_moves(bucket_counts, table.snapshot(), self._capacities)
         applied = 0
         for bucket, recipient in moves:
             donor = table.shard_of_bucket(bucket)

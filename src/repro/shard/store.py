@@ -189,13 +189,6 @@ class ShardedPNWStore:
                 f"got {self.executor_kind!r}"
             )
         if self.executor_kind == "process":
-            if config.index_placement != "dram":
-                raise ConfigError(
-                    "executor='process' requires index_placement='dram': the "
-                    "NVM-resident path-hashing index lives in worker-local "
-                    "memory, so it could not survive a worker crash the way "
-                    "the shared zone does"
-                )
             self.stores: list = [
                 ShardProcessClient(shard_id, shard_config)
                 for shard_id, shard_config in enumerate(configs)
@@ -210,12 +203,6 @@ class ShardedPNWStore:
         self._shard_locks = [threading.Lock() for _ in self.stores]
         #: Whether the live rebalancer is armed (``rebalance_mode``).
         self.rebalance_enabled = config.rebalance_mode != "off"
-        if self.rebalance_enabled and config.index_placement != "dram":
-            raise ConfigError(
-                "rebalance_mode requires index_placement='dram': bucket "
-                "migrations enumerate a shard's live keys through its "
-                "DRAM index"
-            )
         self._stats_lock = threading.Lock()
         self._router_stats = RouterStats.for_shards(self.n_shards)
         self._routing_zone: SharedZone | None = None

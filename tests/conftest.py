@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import zlib
 
@@ -81,14 +80,22 @@ def near_values(rng: np.random.Generator, old: np.ndarray,
             for i, key in enumerate(keys)]
 
 
+#: The :class:`OperationReport` fields ``state_digest`` hashes: every
+#: field except the wall-clock ``predict_ns``, named explicitly so the
+#: digest of a report does not depend on the dataclass's field list.
+REPORT_DIGEST_FIELDS = (
+    "op", "key", "address", "cluster", "fallback_used", "bit_updates",
+    "words_touched", "lines_touched", "nvm_latency_ns", "retrained",
+)
+
+
 def state_digest(store: PNWStore, reports=()) -> str:
     """SHA-256 of everything a leaf store keeps durably or accounts
-    exactly: data zone, flag bitmap *contents*, index (an NVM index by
-    its slot bytes and its device's read/write accounting), data-zone
+    exactly: data zone, flag bitmap *contents*, index entries, data-zone
     wear (per address and totals), pool free lists in order, operation
-    counters, retired rows and media counters — plus ``reports`` minus
-    the wall-clock ``predict_ns``.  Flag-region write *counts* are left
-    out on purpose: batching may lower them."""
+    counters, retired rows and media counters — plus ``reports`` as
+    their :data:`REPORT_DIGEST_FIELDS`.  Flag-region write *counts* are
+    left out on purpose: batching may lower them."""
     digest = hashlib.sha256()
 
     def feed(*parts) -> None:
@@ -100,11 +107,7 @@ def state_digest(store: PNWStore, reports=()) -> str:
             digest.update(part + b"|")
 
     feed(store.nvm.snapshot(), store.flags_nvm.snapshot())
-    if hasattr(store.index, "items"):
-        feed(sorted(store.index.items()))
-    else:
-        feed(store.index.nvm.snapshot(), store.index.nvm.stats.summary(),
-             store.index.nvm.stats.writes_per_address)
+    feed(sorted(store.index.items()))
     feed(store.nvm.stats.writes_per_address, store.nvm.stats.summary())
     feed(store.pool._free_lists, store.pool._available)
     metrics = store.metrics
@@ -113,5 +116,5 @@ def state_digest(store: PNWStore, reports=()) -> str:
     feed(store.manager.model_version, store._mutations_since_check)
     feed(store.bad_rows.retired_addresses(), store.media_stats.as_dict())
     for report in list(metrics.reports) + list(reports):
-        feed(dataclasses.replace(report, predict_ns=0.0))
+        feed(tuple(getattr(report, name) for name in REPORT_DIGEST_FIELDS))
     return digest.hexdigest()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -33,7 +35,6 @@ class TestConfig:
             {"num_buckets": 4, "value_bytes": 0},
             {"num_buckets": 4, "value_bytes": 8, "key_bytes": 0},
             {"num_buckets": 4, "value_bytes": 8, "n_clusters": 0},
-            {"num_buckets": 4, "value_bytes": 8, "index_placement": "disk"},
             {"num_buckets": 4, "value_bytes": 8, "featurizer": "magic"},
             {"num_buckets": 4, "value_bytes": 8, "update_mode": "fast"},
             {"num_buckets": 4, "value_bytes": 8, "load_factor": 0.0},
@@ -46,10 +47,43 @@ class TestConfig:
         with pytest.raises(ConfigError):
             PNWConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "name, old_default",
+        [
+            ("index_placement", "dram"),
+            ("media_verify", True),
+            ("rebalance_policy", "greedy"),
+            ("rebalance_wear_factor", 0.0),
+        ],
+    )
+    def test_removed_knobs_rejected(self, name, old_default):
+        with pytest.raises(TypeError):
+            PNWConfig(num_buckets=4, value_bytes=8, **{name: old_default})
+
     def test_frozen(self):
         config = PNWConfig(num_buckets=4, value_bytes=8)
         with pytest.raises(AttributeError):
             config.num_buckets = 8
+
+
+def test_knob_inventory():
+    """The exact set of ``PNWConfig`` fields.  Each field multiplies the
+    configurations tests and benchmarks must cover, so adding one means
+    naming the non-test caller (in ``src/``, ``benchmarks/`` or
+    ``examples/``) that needs a non-default value — and updating this
+    set in the same change."""
+    assert {f.name for f in dataclasses.fields(PNWConfig)} == {
+        "num_buckets", "value_bytes", "key_bytes", "n_clusters",
+        "featurizer", "pca_components", "update_mode", "load_factor",
+        "auto_train_fraction", "retrain_check_interval", "refresh_mode",
+        "refresh_batch_size", "probe_limit", "n_init", "max_iter", "seed",
+        "word_bytes", "cacheline_bytes", "track_bit_wear", "persist_flags",
+        "shards", "executor", "kmeans_jobs", "tier_mode",
+        "tier_cache_entries", "tier_writeback_entries", "tier_flush_ops",
+        "media_fault_rate", "media_fault_budget", "media_retire_watermark",
+        "rebalance_mode", "router_vbuckets", "rebalance_low_watermark",
+        "rebalance_check_interval", "rebalance_max_keys",
+    }
 
 
 class TestFeaturizers:

@@ -11,7 +11,7 @@ def report_for(key: bytes) -> OperationReport:
     return OperationReport(
         op="put", key=key, address=0, cluster=0, fallback_used=False,
         bit_updates=1, words_touched=1, lines_touched=1,
-        nvm_latency_ns=1.0, predict_ns=0.0, index_lines=0, retrained=False,
+        nvm_latency_ns=1.0, predict_ns=0.0, retrained=False,
     )
 
 

@@ -86,7 +86,6 @@ REPORT_FIELDS = (
     "bit_updates",
     "words_touched",
     "lines_touched",
-    "index_lines",
     "retrained",
 )
 

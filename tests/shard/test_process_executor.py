@@ -128,12 +128,6 @@ class TestConfigRouting:
         with pytest.raises(ConfigError, match="thread"):
             ShardedPNWStore(make_config(), executor="fiber")
 
-    def test_process_with_nvm_index_rejected(self):
-        with pytest.raises(ConfigError, match="index_placement"):
-            ShardedPNWStore(
-                make_config(index_placement="nvm", executor="process")
-            )
-
 
 class TestByteIdentity:
     def test_mixed_stream_matches_thread_mode(self):

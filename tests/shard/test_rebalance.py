@@ -1,4 +1,4 @@
-"""Live shard rebalancing: policies, watermark-triggered migration,
+"""Live shard rebalancing: the move planner, watermark-triggered migration,
 mid-migration crash semantics, routing-epoch re-lane in the ingest
 layer, and process-executor survival (worker kill + kill -9 respawn
 agreement via the shared-memory routing table)."""
@@ -15,7 +15,6 @@ from repro.shard.rebalance import (
     RoutingLatch,
     SimulatedRebalanceCrash,
     greedy_moves,
-    hot_bucket_moves,
 )
 from tests.conftest import clustered_values
 
@@ -108,7 +107,7 @@ def test_routing_latch_reentrant_reads_and_writer_guard():
 
 
 # ---------------------------------------------------------------------- #
-# policies                                                                #
+# the move planner                                                        #
 # ---------------------------------------------------------------------- #
 
 def test_greedy_moves_flatten_a_hot_shard():
@@ -133,16 +132,30 @@ def test_greedy_no_moves_when_balanced():
     assert greedy_moves(counts, table, np.array([64, 64])) == []
 
 
-def test_hot_bucket_moves_single_heaviest():
+def test_greedy_moves_heaviest_bucket_only():
+    """The heaviest bucket moves first; moving the lighter one after it
+    would not lower the maximum load, so the plan stops at one move."""
     table = np.arange(8, dtype=np.int32) % 2
     counts = np.zeros(8, dtype=np.int64)
     counts[0] = 30
     counts[2] = 5
-    moves = hot_bucket_moves(counts, table, np.array([64, 64]))
-    assert moves == [(0, 1)]
-    assert hot_bucket_moves(
+    assert greedy_moves(counts, table, np.array([64, 64])) == [(0, 1)]
+    assert greedy_moves(
         np.zeros(8, dtype=np.int64), table, np.array([64, 64])
     ) == []
+
+
+def test_greedy_breaks_recipient_ties_by_lower_shard_id():
+    """Shards 1 and 2 are equally loaded *fractionally* (16/128 and
+    8/64); the first move goes to shard 1 even though shard 2 holds
+    fewer keys."""
+    table = np.arange(9, dtype=np.int32) % 3
+    counts = np.zeros(9, dtype=np.int64)
+    counts[[0, 3]] = 24  # shard 0: 48 of 64
+    counts[1] = 16       # shard 1: 16 of 128
+    counts[2] = 8        # shard 2: 8 of 64
+    moves = greedy_moves(counts, table, np.array([64, 128, 64]))
+    assert moves[0] == (3, 1)
 
 
 # ---------------------------------------------------------------------- #
@@ -169,14 +182,6 @@ def test_watermark_rebalance_spreads_a_skewed_load():
     store.delete(key)
     assert key not in store
     assert len(store) == len(pairs) - 1
-
-
-def test_hot_bucket_policy_moves_one_bucket_per_pass():
-    store = warmed(make_config(rebalance_policy="hot_bucket"))
-    pairs = fill_hot(store)
-    assert store.rebalance_check(1_000) is True
-    assert store.router_stats().bucket_moves == 1
-    assert_oracle(store, pairs)
 
 
 def test_rebalance_off_never_moves():

@@ -181,7 +181,6 @@ class TestBufferedReports:
         report = OperationReport(
             op="put", key=b"k", address=3, cluster=0, fallback_used=False,
             bit_updates=1, words_touched=1, lines_touched=1,
-            nvm_latency_ns=1.0, predict_ns=0.0, index_lines=0,
-            retrained=False,
+            nvm_latency_ns=1.0, predict_ns=0.0, retrained=False,
         )
         assert not report.buffered
