@@ -59,8 +59,9 @@ def build_store(args, mode: str, executor: str) -> ShardedPNWStore:
         shards=args.shards,
         rebalance_mode=mode,
         rebalance_check_interval=args.check_interval,
+        executor=executor,
     )
-    return ShardedPNWStore(config, executor=executor)
+    return ShardedPNWStore(config)
 
 
 def build_stream(args) -> tuple[list[list[bytes]], list[list[int]]]:

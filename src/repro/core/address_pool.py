@@ -573,10 +573,6 @@ class DynamicAddressPool:
         """Free-list length per cluster (Fig. 5's table column)."""
         return [free_list.size for free_list in self._lists]
 
-    def cluster_size(self, cluster: int) -> int:
-        """Free-list length of one cluster (the hot-path fallback check)."""
-        return self._lists[cluster].size
-
     def free_addresses(self) -> np.ndarray:
         """All currently free addresses (sorted)."""
         return np.flatnonzero(self._available)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import ConfigError
 
@@ -19,6 +19,10 @@ class PNWConfig:
     The key index is always the DRAM hash of Fig. 2a; the paper's Fig.
     2b NVM path hashing is the standalone
     :class:`~repro.stores.pathhash_store.PathHashKVStore` baseline.
+    Engineering defaults that no caller varies are module constants next
+    to the one module that reads them, not fields; the store classes and
+    :func:`repro.shard.make_store` take every setting from this config
+    and nothing else.
 
     Parameters
     ----------
@@ -43,10 +47,9 @@ class PNWConfig:
         ``"latency"`` — UPDATE writes in place through the index.
     load_factor:
         When the live fraction of the zone exceeds this, the model manager
-        schedules a retrain (§V-C).
-    auto_train_fraction:
-        Live fraction that triggers the *first* training of a store that
-        started empty (a store warmed with ``warm_up`` trains immediately).
+        schedules a retrain (§V-C).  A store that started empty trains
+        first at ``model_manager.AUTO_TRAIN_FRACTION`` (0.1); a store
+        warmed with ``warm_up`` trains immediately.
     retrain_check_interval:
         How many mutations between load-factor checks.
     refresh_mode:
@@ -59,8 +62,6 @@ class PNWConfig:
         — so the pool rebuild stays consistent — and avoids stalling the
         write path on a full refit.  The *first* training (and crash
         recovery) is always full.
-    refresh_batch_size:
-        Mini-batch size of one incremental refresh pass over the zone.
     probe_limit:
         Free-list candidates scored per PUT to find the minimum-Hamming
         target within the predicted cluster (§IV).  ``0`` degrades to a
@@ -70,8 +71,9 @@ class PNWConfig:
         K-means restart count and Lloyd iteration cap.
     seed:
         Seed for every stochastic component.
-    word_bytes, cacheline_bytes:
-        Accounting granularities of the simulated device.
+    word_bytes:
+        Word granularity of the simulated device's accounting (the cache
+        line is the device's fixed 64 bytes).
     track_bit_wear:
         Enable per-bit wear counters (Fig. 13).
     persist_flags:
@@ -142,26 +144,16 @@ class PNWConfig:
         store is bit-identical to pure ``hash % n_shards`` routing.
         ``"watermark"`` arms the
         :class:`~repro.shard.rebalance.Rebalancer`: when any shard's
-        free pool fraction falls under ``rebalance_low_watermark``
+        free pool fraction falls under ``REBALANCE_LOW_WATERMARK`` (0.2)
         while a meaningfully freer sibling exists, whole virtual
-        buckets of keys are migrated between zones through the ordinary
-        engine batch pipeline.  A plain :class:`PNWStore` ignores it.
-    router_vbuckets:
-        Virtual buckets *per shard* in the routing table (the universe
-        is ``router_vbuckets * shards``).  More buckets mean finer
-        migration granularity at the cost of a larger table.
-    rebalance_low_watermark:
-        Free-pool fraction under which a shard is considered starved:
-        a rebalance pass triggers when the minimum per-shard free
-        fraction drops below this while the max-min spread exceeds it
-        too (i.e. a move can actually help).
+        buckets of keys (``ROUTER_VBUCKETS`` = 64 per shard) are
+        migrated between zones through the ordinary engine batch
+        pipeline, ``REBALANCE_MAX_KEYS`` (256) keys per batch; the
+        constants live in :mod:`repro.shard.rebalance` and
+        :mod:`repro.shard.router`.  A plain :class:`PNWStore` ignores it.
     rebalance_check_interval:
         Mutations between watermark checks (checked batch-wise at the
         sharded store's entry points and the ingest dispatch path).
-    rebalance_max_keys:
-        Keys per migration batch: a bucket's keys are copied (and later
-        deleted from the donor) in engine-stage batches of at most this
-        many, bounding what one mid-migration crash can leave behind.
     """
 
     num_buckets: int
@@ -172,21 +164,17 @@ class PNWConfig:
     pca_components: int | None = None
     update_mode: str = "endurance"
     load_factor: float = 0.9
-    auto_train_fraction: float = 0.1
     retrain_check_interval: int = 128
     refresh_mode: str = "full"
-    refresh_batch_size: int = 256
     probe_limit: int = 64
     n_init: int = 2
     max_iter: int = 50
     seed: int | None = None
     word_bytes: int = 4
-    cacheline_bytes: int = 64
     track_bit_wear: bool = False
     persist_flags: bool = True
     shards: int = 1
     executor: str = "thread"
-    kmeans_jobs: int = field(default=1)
     tier_mode: str = "off"
     tier_cache_entries: int = 1024
     tier_writeback_entries: int = 256
@@ -195,10 +183,7 @@ class PNWConfig:
     media_fault_budget: int = 0
     media_retire_watermark: float = 0.05
     rebalance_mode: str = "off"
-    router_vbuckets: int = 64
-    rebalance_low_watermark: float = 0.2
     rebalance_check_interval: int = 32
-    rebalance_max_keys: int = 256
 
     def __post_init__(self) -> None:
         if self.num_buckets <= 0:
@@ -219,18 +204,10 @@ class PNWConfig:
             )
         if not 0.0 < self.load_factor <= 1.0:
             raise ConfigError(f"load_factor must be in (0, 1], got {self.load_factor}")
-        if not 0.0 <= self.auto_train_fraction <= 1.0:
-            raise ConfigError(
-                f"auto_train_fraction must be in [0, 1], got {self.auto_train_fraction}"
-            )
         if self.refresh_mode not in ("full", "incremental"):
             raise ConfigError(
                 f"refresh_mode must be 'full' or 'incremental', "
                 f"got {self.refresh_mode!r}"
-            )
-        if self.refresh_batch_size < 1:
-            raise ConfigError(
-                f"refresh_batch_size must be >= 1, got {self.refresh_batch_size}"
             )
         if self.shards < 1:
             raise ConfigError(f"shards must be >= 1, got {self.shards}")
@@ -279,23 +256,10 @@ class PNWConfig:
                 f"rebalance_mode must be 'off' or 'watermark', "
                 f"got {self.rebalance_mode!r}"
             )
-        if self.router_vbuckets < 1:
-            raise ConfigError(
-                f"router_vbuckets must be >= 1, got {self.router_vbuckets}"
-            )
-        if not 0.0 < self.rebalance_low_watermark < 1.0:
-            raise ConfigError(
-                f"rebalance_low_watermark must be in (0, 1), "
-                f"got {self.rebalance_low_watermark}"
-            )
         if self.rebalance_check_interval < 1:
             raise ConfigError(
                 f"rebalance_check_interval must be >= 1, "
                 f"got {self.rebalance_check_interval}"
-            )
-        if self.rebalance_max_keys < 1:
-            raise ConfigError(
-                f"rebalance_max_keys must be >= 1, got {self.rebalance_max_keys}"
             )
         if self.media_fault_rate > 0.0 and self.seed is None:
             raise ConfigError(

@@ -21,6 +21,13 @@ from .featurizer import Featurizer, make_featurizer
 
 __all__ = ["ModelManager"]
 
+#: Live fraction that triggers the *first* training of a store that
+#: started empty (a store warmed with ``warm_up`` trains immediately).
+AUTO_TRAIN_FRACTION = 0.1
+
+#: Mini-batch size of one incremental refresh pass over the zone.
+REFRESH_BATCH_SIZE = 256
+
 
 class ModelManager:
     """Featurizer + k-means with retraining policy and latency accounting."""
@@ -78,7 +85,6 @@ class ModelManager:
             n_init=self.config.n_init,
             max_iter=self.config.max_iter,
             seed=self.config.seed,
-            n_jobs=self.config.kmeans_jobs,
         )
         model.fit(features)
         self.last_train_seconds = time.perf_counter() - started
@@ -91,7 +97,7 @@ class ModelManager:
         """Incrementally refresh the fitted model on the zone's contents.
 
         One deterministic mini-batch pass (``MiniBatchKMeans.partial_fit``
-        over consecutive ``refresh_batch_size`` slices, warm-started from
+        over consecutive :data:`REFRESH_BATCH_SIZE` slices, warm-started from
         the current centroids) replaces the full Lloyd refit.  The
         featurizer is *not* refit — PCA axes stay frozen so the refreshed
         centroids live in the same feature space as every cached
@@ -105,13 +111,12 @@ class ModelManager:
         features = self.featurizer.transform_many(rows)
         refresher = MiniBatchKMeans(
             self.model.n_clusters,
-            batch_size=self.config.refresh_batch_size,
+            batch_size=REFRESH_BATCH_SIZE,
             seed=self.config.seed,
         )
         refresher.warm_start(self.model.cluster_centers_)
-        batch = self.config.refresh_batch_size
-        for start in range(0, features.shape[0], batch):
-            refresher.partial_fit(features[start : start + batch])
+        for start in range(0, features.shape[0], REFRESH_BATCH_SIZE):
+            refresher.partial_fit(features[start : start + REFRESH_BATCH_SIZE])
         self.model.cluster_centers_ = refresher.cluster_centers_
         # The fit's assignment was made against the centroids just replaced.
         self.model.labels_ = None
@@ -209,5 +214,5 @@ class ModelManager:
     def should_retrain(self, live_fraction: float) -> bool:
         """Load-factor policy: retrain before clusters run dry (§V-C)."""
         if not self.is_trained:
-            return live_fraction >= self.config.auto_train_fraction
+            return live_fraction >= AUTO_TRAIN_FRACTION
         return live_fraction >= self.config.load_factor

@@ -143,7 +143,6 @@ class PNWStore:
         self.memory = HybridMemory(
             config.num_buckets,
             config.bucket_bytes,
-            cacheline_bytes=config.cacheline_bytes,
             word_bytes=config.word_bytes,
             track_bit_wear=config.track_bit_wear,
             nvm_data=zone.view("data") if zone is not None else None,

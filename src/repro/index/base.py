@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 
-import numpy as np
-
 __all__ = ["KeyIndex", "stable_hash64"]
 
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -71,8 +69,3 @@ class KeyIndex(ABC):
         if len(key) > key_bytes:
             raise ValueError(f"key of {len(key)} bytes exceeds key_bytes={key_bytes}")
         return key.ljust(key_bytes, b"\x00")
-
-    @staticmethod
-    def key_array(key: bytes) -> np.ndarray:
-        """Fixed-width key as a uint8 array."""
-        return np.frombuffer(key, dtype=np.uint8)

@@ -188,10 +188,6 @@ class KMeans:
         x = np.asarray(x, dtype=np.float64)
         return int(np.argmin(self.centroid_distances(x[None, :])[0]))
 
-    def fit_predict(self, X: np.ndarray) -> np.ndarray:
-        """Fit and return the training labels."""
-        return self.fit(X).labels_  # type: ignore[return-value]
-
     def score(self, X: np.ndarray) -> float:
         """Negative SSE of ``X`` against the fitted centroids."""
         centers = self._require_fitted()

@@ -74,7 +74,6 @@ class HybridMemory:
         num_buckets: int,
         bucket_bytes: int,
         *,
-        cacheline_bytes: int = 64,
         word_bytes: int = 4,
         track_bit_wear: bool = False,
         nvm_latency: LatencyModel | None = None,
@@ -85,7 +84,6 @@ class HybridMemory:
         self.nvm = SimulatedNVM(
             num_buckets,
             bucket_bytes,
-            cacheline_bytes=cacheline_bytes,
             word_bytes=word_bytes,
             track_bit_wear=track_bit_wear,
             latency=nvm_latency,

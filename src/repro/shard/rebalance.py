@@ -18,7 +18,7 @@ write-verify, media relocation, and crash/recovery semantics all carry
 over unchanged — there is no second write path.  The ordering is
 crash-safe the same way the scrubber's live-row relocation is:
 
-1. copy the bucket's keys to the recipient (in ``rebalance_max_keys``
+1. copy the bucket's keys to the recipient (in :data:`REBALANCE_MAX_KEYS`
    chunks);
 2. flip the routing-table entry (bumping the routing epoch);
 3. delete the copies from the donor.
@@ -65,6 +65,16 @@ __all__ = [
     "SimulatedRebalanceCrash",
     "greedy_moves",
 ]
+
+#: Free-pool fraction under which a shard is starved: a pass triggers
+#: when the minimum per-shard free fraction drops below this while the
+#: max-min spread exceeds it too (i.e. a move can actually help).
+REBALANCE_LOW_WATERMARK = 0.2
+
+#: Keys per migration batch: a bucket's keys are copied (and later
+#: deleted from the donor) in engine-stage batches of at most this many,
+#: bounding what one mid-migration crash can leave behind.
+REBALANCE_MAX_KEYS = 256
 
 
 class SimulatedRebalanceCrash(RuntimeError):
@@ -273,9 +283,11 @@ class Rebalancer:
         return free / self._capacities
 
     def _should_rebalance(self, free_frac: np.ndarray) -> bool:
-        low = self.config.rebalance_low_watermark
         spread = float(free_frac.max() - free_frac.min())
-        return float(free_frac.min()) < low and spread > low
+        return (
+            float(free_frac.min()) < REBALANCE_LOW_WATERMARK
+            and spread > REBALANCE_LOW_WATERMARK
+        )
 
     # -------------------------------------------------------------- #
     # one pass                                                        #
@@ -332,12 +344,11 @@ class Rebalancer:
         store = self.store
         donor_store = store.stores[donor]
         recipient_store = store.stores[recipient]
-        chunk_size = self.config.rebalance_max_keys
         copied: list[bytes] = []
         with self._deferred_retrain(donor_store), \
                 self._deferred_retrain(recipient_store):
-            for start in range(0, len(keys), chunk_size):
-                chunk = keys[start : start + chunk_size]
+            for start in range(0, len(keys), REBALANCE_MAX_KEYS):
+                chunk = keys[start : start + REBALANCE_MAX_KEYS]
                 values = self._read_chunk(donor_store, chunk)
                 pairs = list(zip(chunk, values))
                 if not self._copy_chunk(recipient_store, pairs):

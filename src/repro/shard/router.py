@@ -55,6 +55,10 @@ __all__ = [
 #: Seed deriving the routing hash; distinct from every index-side seed.
 ROUTER_SEED = 0x5A4D
 
+#: Virtual buckets per shard: the migration granularity of the
+#: rebalancer (the universe is ``ROUTER_VBUCKETS * n_shards``).
+ROUTER_VBUCKETS = 64
+
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
@@ -129,7 +133,7 @@ class RoutingTable:
     def __init__(
         self,
         n_shards: int,
-        vbuckets_per_shard: int = 64,
+        vbuckets_per_shard: int = ROUTER_VBUCKETS,
         *,
         table: np.ndarray | None = None,
         meta: np.ndarray | None = None,

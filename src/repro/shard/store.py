@@ -96,7 +96,6 @@ from ..core.config import PNWConfig
 from ..core.store import OperationReport, PNWStore, RunOutcome, StoreMetrics
 from ..engine.plan import check_unique
 from ..errors import (
-    ConfigError,
     DegradedModeError,
     KeyNotFoundError,
     PoolExhaustedError,
@@ -107,29 +106,28 @@ from ..nvm.shm import SharedZone, ZoneLayout
 from ..nvm.stats import MediaStats, WearStats
 from .procpool import ShardProcessClient
 from .rebalance import Rebalancer, RoutingLatch
-from .router import ROUTER_SEED, RouterStats, RoutingTable, hash_keys
+from .router import (
+    ROUTER_SEED,
+    ROUTER_VBUCKETS,
+    RouterStats,
+    RoutingTable,
+    hash_keys,
+)
 
 __all__ = ["ShardedPNWStore", "make_store", "shard_configs"]
 
 
-def shard_configs(config: PNWConfig, shards: int | None = None) -> list[PNWConfig]:
+def shard_configs(config: PNWConfig) -> list[PNWConfig]:
     """Derive the per-shard configs a sharded store builds its zones from.
 
-    ``num_buckets`` is split as evenly as possible (the first
-    ``num_buckets % shards`` shards get one extra bucket); each shard's
-    seed is offset by its shard id so the k-means restarts are
-    independent streams, and ``shards`` is reset to 1 — a shard is a
+    ``num_buckets`` is split over ``config.shards`` as evenly as possible
+    (the first ``num_buckets % shards`` shards get one extra bucket);
+    each shard's seed is offset by its shard id so the k-means restarts
+    are independent streams, and ``shards`` is reset to 1 — a shard is a
     plain single-zone store.  Exposed so tests and ablations can build
     the *identical* standalone stores a sharded store runs internally.
     """
-    n = config.shards if shards is None else shards
-    if n < 1:
-        raise ConfigError(f"shards must be >= 1, got {n}")
-    if n > config.num_buckets:
-        raise ConfigError(
-            f"shards={n} exceeds num_buckets={config.num_buckets}"
-        )
-    base, extra = divmod(config.num_buckets, n)
+    base, extra = divmod(config.num_buckets, config.shards)
     return [
         dataclasses.replace(
             config,
@@ -137,26 +135,25 @@ def shard_configs(config: PNWConfig, shards: int | None = None) -> list[PNWConfi
             seed=None if config.seed is None else config.seed + i,
             shards=1,
         )
-        for i in range(n)
+        for i in range(config.shards)
     ]
 
 
-def make_store(
-    config: PNWConfig, *, max_workers: int | None = None
-) -> "PNWStore | ShardedPNWStore | TieredStore":
+def make_store(config: PNWConfig) -> "PNWStore | ShardedPNWStore | TieredStore":
     """Store factory: single-zone for ``shards=1``, sharded otherwise,
     wrapped in a :class:`~repro.tier.TieredStore` when ``tier_mode`` is
     not ``"off"``.
 
     The drop-in entry point for drivers that take ``shards=N`` /
-    ``tier_mode=...`` knobs — all return types expose the same
+    ``executor=...`` / ``tier_mode=...`` knobs — every setting comes
+    from ``config``, and all return types expose the same
     ``OperationReport``-based API.
     """
     store: "PNWStore | ShardedPNWStore"
     if config.shards == 1:
         store = PNWStore(config)
     else:
-        store = ShardedPNWStore(config, max_workers=max_workers)
+        store = ShardedPNWStore(config)
     if config.tier_mode != "off":
         # Imported here: repro.tier imports engine helpers that import
         # core modules — a module-level import would be circular.
@@ -167,27 +164,20 @@ def make_store(
 
 
 class ShardedPNWStore:
-    """N hash-partitioned :class:`PNWStore` zones behind one batch API."""
+    """N hash-partitioned :class:`PNWStore` zones behind one batch API.
 
-    def __init__(
-        self,
-        config: PNWConfig,
-        shards: int | None = None,
-        *,
-        max_workers: int | None = None,
-        executor: str | None = None,
-    ) -> None:
+    Every setting comes from ``config``: ``shards`` zones (see
+    :func:`shard_configs`), run on ``executor``, routed through a
+    :data:`~repro.shard.router.ROUTER_VBUCKETS`-per-shard table, so
+    ``store.config`` always describes the store.
+    """
+
+    def __init__(self, config: PNWConfig) -> None:
         self.config = config
-        configs = shard_configs(config, shards)
+        configs = shard_configs(config)
         self.n_shards = len(configs)
-        #: ``"thread"`` or ``"process"`` — from ``config.executor`` unless
-        #: overridden here.
-        self.executor_kind = config.executor if executor is None else executor
-        if self.executor_kind not in ("thread", "process"):
-            raise ConfigError(
-                f"executor must be 'thread' or 'process', "
-                f"got {self.executor_kind!r}"
-            )
+        #: ``"thread"`` or ``"process"`` — ``config.executor``.
+        self.executor_kind = config.executor
         if self.executor_kind == "process":
             self.stores: list = [
                 ShardProcessClient(shard_id, shard_config)
@@ -214,17 +204,16 @@ class ShardedPNWStore:
                 ZoneLayout(
                     num_buckets=1,
                     bucket_bytes=1,
-                    routing_slots=self.n_shards * config.router_vbuckets,
+                    routing_slots=self.n_shards * ROUTER_VBUCKETS,
                 )
             )
             self._router = RoutingTable(
                 self.n_shards,
-                config.router_vbuckets,
                 table=self._routing_zone.view("routing"),
                 meta=self._routing_zone.view("routing_meta"),
             )
         else:
-            self._router = RoutingTable(self.n_shards, config.router_vbuckets)
+            self._router = RoutingTable(self.n_shards)
         #: The routing latch: K/V paths read-pin the epoch, the
         #: rebalancer write-locks it before editing the table.
         self._epoch = RoutingLatch()
@@ -234,20 +223,18 @@ class ShardedPNWStore:
         # Size the pool to the CPUs this process can actually run on: on
         # a single-CPU host threads only add GIL churn, so sub-batches
         # run serially there (the per-shard probe-set reduction is the
-        # win that survives).  An explicit max_workers overrides.  In
-        # process mode the pool threads just block on worker pipes
-        # (blocking recv releases the GIL), so one thread per shard is
-        # right regardless of local core count — the parallelism lives
-        # in the worker processes.
-        if max_workers is None:
-            if self.executor_kind == "process":
-                max_workers = self.n_shards
-            else:
-                try:
-                    max_workers = len(os.sched_getaffinity(0))
-                except AttributeError:  # pragma: no cover - non-Linux
-                    max_workers = os.cpu_count() or 1
-        workers = min(self.n_shards, max_workers)
+        # win that survives).  In process mode the pool threads just
+        # block on worker pipes (blocking recv releases the GIL), so one
+        # thread per shard is right regardless of local core count — the
+        # parallelism lives in the worker processes.
+        if self.executor_kind == "process":
+            workers = self.n_shards
+        else:
+            try:
+                cpus = len(os.sched_getaffinity(0))
+            except AttributeError:  # pragma: no cover - non-Linux
+                cpus = os.cpu_count() or 1
+            workers = min(self.n_shards, cpus)
         self._executor = (
             ThreadPoolExecutor(
                 max_workers=workers, thread_name_prefix="pnw-shard"

@@ -6,14 +6,13 @@ See :mod:`repro.tier.store` for the subsystem overview.
 from .cache import BufferCache
 from .classify import LongevityClassifier
 from .stats import TierStats
-from .store import TIER_MODES, TieredStore
+from .store import TieredStore
 from .writebuffer import StagedEntry, WriteBuffer
 
 __all__ = [
     "BufferCache",
     "LongevityClassifier",
     "StagedEntry",
-    "TIER_MODES",
     "TieredStore",
     "TierStats",
     "WriteBuffer",

@@ -19,12 +19,11 @@ public K/V API and the store's staged write engine:
   entries across shards reach the global ``tier_writeback_entries``
   bound);
 * a :class:`~repro.tier.classify.LongevityClassifier`
-  (``mode="predictive"``) that routes predicted-short-lived values
+  (``tier_mode="predictive"``) that routes predicted-short-lived values
   write-back and predicted-long-lived values write-through, reusing the
   store's featurizer stack on each payload.
 
-Placement policy (``tier_mode`` on :class:`~repro.core.config.PNWConfig`
-or the ``mode=`` argument):
+Placement policy (``tier_mode`` on :class:`~repro.core.config.PNWConfig`):
 
 =================  =====================================================
 ``write_through``  Every mutation passes straight to the store — the
@@ -83,7 +82,6 @@ from ..core.reports import OperationReport
 from ..core.store import RunOutcome, execute_runs
 from ..engine.plan import check_unique, validate_values
 from ..errors import (
-    ConfigError,
     DegradedModeError,
     KeyNotFoundError,
     WorkerCrashedError,
@@ -94,9 +92,8 @@ from .classify import LongevityClassifier
 from .stats import TierStats
 from .writebuffer import StagedEntry, WriteBuffer
 
-__all__ = ["TieredStore", "TIER_MODES"]
+__all__ = ["TieredStore"]
 
-TIER_MODES = ("write_through", "write_back", "predictive")
 
 class TieredStore:
     """DRAM buffer cache + write-back buffer wrapping a PNW store.
@@ -108,61 +105,23 @@ class TieredStore:
         :class:`~repro.shard.ShardedPNWStore` (either executor).  The
         tier becomes the store's only mutation driver; don't mutate the
         wrapped store directly while the tier is in use.
-    mode:
-        ``"write_through"`` / ``"write_back"`` / ``"predictive"``.
-        Defaults to the store config's ``tier_mode`` (or
-        ``"write_back"`` if that is ``"off"``).
-    cache_entries, writeback_entries, flush_ops:
-        Override the config's ``tier_cache_entries`` /
-        ``tier_writeback_entries`` / ``tier_flush_ops``.
+
+    Every setting comes from ``store.config``: ``tier_mode`` (a config
+    with ``"off"`` wraps as ``"write_back"``), ``tier_cache_entries``,
+    ``tier_writeback_entries`` and ``tier_flush_ops``.
     """
 
-    def __init__(
-        self,
-        store,
-        *,
-        mode: str | None = None,
-        cache_entries: int | None = None,
-        writeback_entries: int | None = None,
-        flush_ops: int | None = None,
-    ) -> None:
+    def __init__(self, store) -> None:
         self.store = store
         self.config: PNWConfig = store.config
-        if mode is None:
-            mode = (
-                self.config.tier_mode
-                if self.config.tier_mode != "off"
-                else "write_back"
-            )
-        if mode not in TIER_MODES:
-            raise ConfigError(
-                f"tier mode must be one of {TIER_MODES}, got {mode!r}"
-            )
-        self.mode = mode
+        mode = self.config.tier_mode
+        #: ``"write_through"`` / ``"write_back"`` / ``"predictive"``.
+        self.mode = "write_back" if mode == "off" else mode
         #: Lane count for the admission layer (one per shard).
         self.n_shards: int = store.n_shards
-        cache_entries = (
-            self.config.tier_cache_entries
-            if cache_entries is None
-            else cache_entries
-        )
-        self.writeback_entries = (
-            self.config.tier_writeback_entries
-            if writeback_entries is None
-            else writeback_entries
-        )
-        self.flush_ops = (
-            self.config.tier_flush_ops if flush_ops is None else flush_ops
-        )
-        if self.writeback_entries < 1:
-            raise ConfigError(
-                f"writeback_entries must be >= 1, got {self.writeback_entries}"
-            )
-        if self.flush_ops < 1:
-            raise ConfigError(
-                f"flush_ops must be >= 1, got {self.flush_ops}"
-            )
-        self.cache = BufferCache(cache_entries)
+        self.writeback_entries = self.config.tier_writeback_entries
+        self.flush_ops = self.config.tier_flush_ops
+        self.cache = BufferCache(self.config.tier_cache_entries)
         per_shard = max(1, self.writeback_entries // self.n_shards)
         self._buffers = [WriteBuffer(per_shard) for _ in range(self.n_shards)]
         self.classifier = (

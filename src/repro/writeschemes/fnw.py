@@ -42,11 +42,6 @@ class FlipNWrite(WriteScheme):
         self.word_bytes = word_bytes
 
     @property
-    def word_bits(self) -> int:
-        """Bits per guarded word."""
-        return self.word_bytes * 8
-
-    @property
     def state_key(self) -> str:
         """Flip-bit arrays are per-word, so the word size is part of the
         state identity."""

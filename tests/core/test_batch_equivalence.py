@@ -151,10 +151,7 @@ class TestPutEquivalence:
         assert_stores_equal(sequential, batched)
 
     def test_put_many_on_cold_store_trains_mid_batch(self):
-        config = dict(
-            auto_train_fraction=0.1, retrain_check_interval=8,
-            load_factor=1.0,
-        )
+        config = dict(retrain_check_interval=8, load_factor=1.0)
         sequential = PNWStore(make_config(**config))
         batched = PNWStore(make_config(**config))
         pairs = fresh_pairs(np.random.default_rng(4), 100, 24)

@@ -39,7 +39,6 @@ class TestConfig:
             {"num_buckets": 4, "value_bytes": 8, "update_mode": "fast"},
             {"num_buckets": 4, "value_bytes": 8, "load_factor": 0.0},
             {"num_buckets": 4, "value_bytes": 8, "load_factor": 1.5},
-            {"num_buckets": 4, "value_bytes": 8, "auto_train_fraction": -0.1},
             {"num_buckets": 4, "value_bytes": 7},  # bucket not word aligned
         ],
     )
@@ -54,6 +53,14 @@ class TestConfig:
             ("media_verify", True),
             ("rebalance_policy", "greedy"),
             ("rebalance_wear_factor", 0.0),
+            ("auto_train_fraction", 0.1),
+            ("auto_train_fraction", -0.1),
+            ("refresh_batch_size", 256),
+            ("kmeans_jobs", 1),
+            ("cacheline_bytes", 64),
+            ("router_vbuckets", 64),
+            ("rebalance_low_watermark", 0.2),
+            ("rebalance_max_keys", 256),
         ],
     )
     def test_removed_knobs_rejected(self, name, old_default):
@@ -75,14 +82,12 @@ def test_knob_inventory():
     assert {f.name for f in dataclasses.fields(PNWConfig)} == {
         "num_buckets", "value_bytes", "key_bytes", "n_clusters",
         "featurizer", "pca_components", "update_mode", "load_factor",
-        "auto_train_fraction", "retrain_check_interval", "refresh_mode",
-        "refresh_batch_size", "probe_limit", "n_init", "max_iter", "seed",
-        "word_bytes", "cacheline_bytes", "track_bit_wear", "persist_flags",
-        "shards", "executor", "kmeans_jobs", "tier_mode",
+        "retrain_check_interval", "refresh_mode", "probe_limit", "n_init",
+        "max_iter", "seed", "word_bytes", "track_bit_wear",
+        "persist_flags", "shards", "executor", "tier_mode",
         "tier_cache_entries", "tier_writeback_entries", "tier_flush_ops",
         "media_fault_rate", "media_fault_budget", "media_retire_watermark",
-        "rebalance_mode", "router_vbuckets", "rebalance_low_watermark",
-        "rebalance_check_interval", "rebalance_max_keys",
+        "rebalance_mode", "rebalance_check_interval",
     }
 
 

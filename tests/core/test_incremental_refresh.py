@@ -185,5 +185,6 @@ class TestStoreWithIncrementalRefresh:
     def test_config_validation(self):
         with pytest.raises(ConfigError, match="refresh_mode"):
             make_config(refresh_mode="sometimes")
-        with pytest.raises(ConfigError, match="refresh_batch_size"):
+        # The batch size is a model_manager constant, not a field.
+        with pytest.raises(TypeError):
             make_config(refresh_batch_size=0)

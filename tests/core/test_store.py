@@ -101,7 +101,7 @@ class TestSteering:
 
     def test_fallback_used_when_cluster_empty(self, rng):
         config = PNWConfig(num_buckets=8, value_bytes=24, n_clusters=4, seed=0,
-                           n_init=1, auto_train_fraction=0.0)
+                           n_init=1)
         old = clustered_values(rng, 8, 24)
         store = PNWStore(config)
         store.warm_up(old)
@@ -148,7 +148,7 @@ class TestRetraining:
     def test_load_factor_triggers_retrain(self, rng):
         config = PNWConfig(
             num_buckets=64, value_bytes=24, n_clusters=2, seed=0, n_init=1,
-            load_factor=0.5, retrain_check_interval=1, auto_train_fraction=0.0,
+            load_factor=0.5, retrain_check_interval=1,
         )
         store = PNWStore(config)
         store.warm_up(clustered_values(rng, 64, 24))
@@ -173,7 +173,7 @@ class TestRetraining:
     def test_first_training_is_automatic(self, rng):
         config = PNWConfig(
             num_buckets=64, value_bytes=24, n_clusters=2, seed=0, n_init=1,
-            auto_train_fraction=0.1, retrain_check_interval=1,
+            retrain_check_interval=1,
         )
         store = PNWStore(config)  # cold start, no warm_up
         assert not store.manager.is_trained

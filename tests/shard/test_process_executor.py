@@ -49,7 +49,7 @@ def make_config(num_buckets: int = 130, shards: int = 3, **overrides) -> PNWConf
 
 
 def warmed(config: PNWConfig, executor: str) -> ShardedPNWStore:
-    store = ShardedPNWStore(config, executor=executor)
+    store = ShardedPNWStore(dataclasses.replace(config, executor=executor))
     rng = np.random.default_rng(42)
     store.warm_up(clustered_values(rng, config.num_buckets, config.value_bytes))
     return store
@@ -126,7 +126,7 @@ class TestConfigRouting:
         with pytest.raises(ConfigError, match="executor"):
             PNWConfig(num_buckets=64, value_bytes=8, executor="fiber")
         with pytest.raises(ConfigError, match="thread"):
-            ShardedPNWStore(make_config(), executor="fiber")
+            make_config(executor="fiber")
 
 
 class TestByteIdentity:

@@ -30,17 +30,14 @@ def make_config(**overrides) -> PNWConfig:
         max_iter=10,
         shards=4,
         rebalance_mode="watermark",
-        rebalance_low_watermark=0.2,
         rebalance_check_interval=16,
-        rebalance_max_keys=64,
-        router_vbuckets=16,
     )
     base.update(overrides)
     return PNWConfig(**base)
 
 
-def warmed(config: PNWConfig, **kwargs) -> ShardedPNWStore:
-    store = ShardedPNWStore(config, **kwargs)
+def warmed(config: PNWConfig) -> ShardedPNWStore:
+    store = ShardedPNWStore(config)
     rng = np.random.default_rng(42)
     store.warm_up(clustered_values(rng, config.num_buckets, config.value_bytes))
     return store
@@ -312,7 +309,7 @@ def test_ingest_relanes_after_epoch_change():
 # ---------------------------------------------------------------------- #
 
 def test_process_rebalance_worker_kill_and_respawn_agreement():
-    store = warmed(make_config(), executor="process")
+    store = warmed(make_config(executor="process"))
     try:
         pairs = fill_hot(store)
         # Kill a recipient worker at its next flush: the migration's

@@ -67,9 +67,9 @@ class TestShardConfigs:
 
     def test_invalid_shard_counts_rejected(self):
         with pytest.raises(ConfigError, match=">= 1"):
-            shard_configs(make_config(), shards=0)
+            make_config(shards=0)
         with pytest.raises(ConfigError, match="exceeds num_buckets"):
-            shard_configs(make_config(num_buckets=4, shards=1), shards=5)
+            make_config(num_buckets=4, shards=5)
         with pytest.raises(ConfigError, match="exceeds num_buckets"):
             make_config(num_buckets=4, shards=8)
 

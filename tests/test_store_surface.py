@@ -17,6 +17,7 @@ x process; tier over leaf; tier over sharded), that
 from __future__ import annotations
 
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
@@ -30,8 +31,10 @@ from repro import (
     StoreMetrics,
     TieredStore,
     WearStats,
+    make_store,
 )
 from repro.errors import KeyNotFoundError
+from repro.shard import shard_configs
 from repro.shard.router import RouterStats
 from tests.conftest import clustered_values
 
@@ -68,12 +71,17 @@ def make_config(shards: int) -> PNWConfig:
 def build(composition: str):
     """A warmed store of the named composition (2 shards when sharded)."""
     if composition.endswith("leaf"):
-        store = PNWStore(make_config(1))
+        config = make_config(1)
     else:
         executor = "process" if composition.endswith("process") else "thread"
-        store = ShardedPNWStore(make_config(2), executor=executor)
+        config = dataclasses.replace(make_config(2), executor=executor)
     if composition.startswith("tier"):
-        store = TieredStore(store, mode="write_back", writeback_entries=16)
+        config = dataclasses.replace(
+            config, tier_mode="write_back", tier_writeback_entries=16
+        )
+    store = PNWStore(config) if config.shards == 1 else ShardedPNWStore(config)
+    if composition.startswith("tier"):
+        store = TieredStore(store)
     store.warm_up(clustered_values(np.random.default_rng(42), 120, 24))
     return store
 
@@ -211,3 +219,35 @@ def test_run_shard_batches_leaf_agrees_with_one_shard_router():
         ]
     assert isinstance(leaf[1][1], KeyNotFoundError)
     assert len(leaf[1][1].committed_reports) == 1
+
+
+def test_constructor_inventory():
+    """Each store setting has one home, the config: no constructor takes
+    an argument that could shadow a ``PNWConfig`` field."""
+
+    def params(fn):
+        return list(inspect.signature(fn).parameters)
+
+    assert params(ShardedPNWStore.__init__) == ["self", "config"]
+    assert params(TieredStore.__init__) == ["self", "store"]
+    assert params(make_store) == ["config"]
+    assert params(shard_configs) == ["config"]
+
+
+@pytest.mark.parametrize(
+    "tier_mode, executor",
+    [("write_back", "thread"), ("write_through", "process")],
+)
+def test_store_agrees_with_its_config(tier_mode, executor):
+    config = dataclasses.replace(
+        make_config(3), tier_mode=tier_mode, executor=executor
+    )
+    store = make_store(config)
+    try:
+        assert isinstance(store, TieredStore)
+        assert store.config is config
+        assert store.n_shards == config.shards
+        assert store.mode == config.tier_mode
+        assert store.store.executor_kind == config.executor
+    finally:
+        store.close()

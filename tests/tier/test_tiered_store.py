@@ -169,9 +169,10 @@ class TestModes:
     def test_invalid_mode_rejected(self):
         with pytest.raises(ConfigError, match="tier_mode"):
             make_config(tier_mode="sideways")
-        store = make_store(make_config(tier_mode="off"))
-        with pytest.raises(ConfigError, match="tier mode"):
-            TieredStore(store, mode="sideways")
+        # A config with the tier off still wraps as write-back.
+        assert TieredStore(make_store(make_config(tier_mode="off"))).mode == (
+            "write_back"
+        )
 
 
 class TestErrorSemantics:
