@@ -35,11 +35,11 @@ batch_size_list = functools.partial(parse_int_list, minimum=1)
 
 def build_store(
     old_values: np.ndarray, n_clusters: int, seed: int, probe_limit: int,
-    shards: int = 1, executor: str = "thread",
+    shards: int = 1,
 ):
     store = make_pnw_store(
         old_values.shape[0], old_values.shape[1], n_clusters, seed=seed,
-        probe_limit=probe_limit, shards=shards, executor=executor,
+        probe_limit=probe_limit, shards=shards,
     )
     store.warm_up(old_values)
     return store
@@ -96,10 +96,6 @@ def main(argv: list[str] | None = None) -> int:
         help="hash-partition the zone into N shards (1: plain store)",
     )
     parser.add_argument(
-        "--executor", default="thread", choices=("thread", "process"),
-        help="shard executor when --shards > 1 (see bench_shard_scaling)",
-    )
-    parser.add_argument(
         "--probe-limit", type=int, default=64,
         help="free-list candidates scored per PUT (0: FIFO, -1: whole "
              "list via the probe engine's content cache)",
@@ -126,11 +122,11 @@ def main(argv: list[str] | None = None) -> int:
     lines = [f"workload={args.workload}  zone={num_buckets} buckets x "
              f"{old_values.shape[1]}B values  ops={n_ops}  "
              f"K={args.n_clusters}  probe_limit={args.probe_limit}  "
-             f"shards={args.shards}  executor={args.executor}"]
+             f"shards={args.shards}"]
     print(lines[0])
 
     seq_store = build_store(old_values, args.n_clusters, args.seed,
-                            args.probe_limit, args.shards, args.executor)
+                            args.probe_limit, args.shards)
     seq_seconds = run_sequential(seq_store, keys, new_values)
     seq_ops = n_ops / seq_seconds
     lines.append(f"{'sequential put':>18}: {seq_ops:10.0f} ops/s   (baseline)")
@@ -141,7 +137,7 @@ def main(argv: list[str] | None = None) -> int:
     speedups: dict[int, float] = {}
     for batch_size in batch_sizes:
         store = build_store(old_values, args.n_clusters, args.seed,
-                            args.probe_limit, args.shards, args.executor)
+                            args.probe_limit, args.shards)
         seconds = run_batched(store, keys, new_values, batch_size)
         ops = n_ops / seconds
         speedups[batch_size] = seq_seconds / seconds

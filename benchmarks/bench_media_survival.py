@@ -6,8 +6,8 @@ the exact acknowledged bytes**, no matter how many cells the fault
 model depletes.
 
 * **Store grid** — the full stack (steering, write-verify, relocation,
-  retirement) per backend (single zone / sharded threads / sharded
-  processes), driven with uniform-random payloads over a 1%
+  retirement) per backend (single zone / sharded threads), driven
+  with uniform-random payloads over a 1%
   depleted-budget fault injection, measured before and after a
   crash/recover cycle.  Records survival rate, rows retired, and the
   op count at the first retirement.
@@ -38,7 +38,7 @@ from repro.errors import DegradedModeError, PoolExhaustedError
 from repro.nvm import FaultModel, SimulatedNVM
 from repro.writeschemes import default_schemes
 
-BACKENDS = ("single", "threads", "processes")
+BACKENDS = ("single", "threads")
 
 
 # --------------------------------------------------------------------- #
@@ -57,9 +57,7 @@ def build_store(args, backend: str):
         media_fault_rate=args.fault_rate,
         media_fault_budget=args.fault_budget,
         media_retire_watermark=1.0,
-        **({} if backend == "single" else
-           {"shards": 3,
-            "executor": "thread" if backend == "threads" else "process"}),
+        shards=1 if backend == "single" else 3,
     )
     store = make_store(config)
     rng = np.random.default_rng(args.seed)

@@ -48,12 +48,12 @@ def float_list(text: str) -> list[float]:
 
 
 def build_store(old_values, n_clusters, seed, probe_limit, prefill,
-                shards=1, executor="thread"):
+                shards=1):
     """Warmed store with ``prefill`` live keys (installed via the batch
     path, which is state-identical to sequential puts)."""
     store = make_pnw_store(
         old_values.shape[0], old_values.shape[1], n_clusters,
-        seed=seed, probe_limit=probe_limit, shards=shards, executor=executor,
+        seed=seed, probe_limit=probe_limit, shards=shards,
     )
     store.warm_up(old_values)
     pairs, batch = prefill
@@ -106,10 +106,6 @@ def main(argv: list[str] | None = None) -> int:
         help="hash-partition the zone into N shards (1: plain store)",
     )
     parser.add_argument(
-        "--executor", default="thread", choices=("thread", "process"),
-        help="shard executor when --shards > 1 (see bench_shard_scaling)",
-    )
-    parser.add_argument(
         "--min-speedup", type=float, default=2.0,
         help="exit non-zero unless the batched engine beats the per-op "
              "loop by this factor at probe_limit=-1 (best row across the "
@@ -134,8 +130,7 @@ def main(argv: list[str] | None = None) -> int:
 
     lines = [f"workload={args.workload}  zone={num_buckets} buckets x "
              f"{value_bytes}B values  ops={n_ops}  batch={args.batch_size}  "
-             f"K={args.n_clusters}  shards={args.shards}  "
-             f"executor={args.executor}"]
+             f"K={args.n_clusters}  shards={args.shards}"]
     print(lines[0])
     header = (f"{'probe':>6} {'occ':>5} {'free/cluster':>12} "
               f"{'put (seq)':>12} {'put_many':>12} {'speedup':>8}  state")
@@ -163,7 +158,7 @@ def main(argv: list[str] | None = None) -> int:
                 last = attempt == max(1, repeats) - 1
                 seq_store = build_store(
                     old_values, args.n_clusters, args.seed, probe_limit, prefill,
-                    shards=args.shards, executor=args.executor,
+                    shards=args.shards,
                 )
                 free_depth = total_free(seq_store) // args.n_clusters
                 started = time.perf_counter()
@@ -173,7 +168,7 @@ def main(argv: list[str] | None = None) -> int:
 
                 batch_store = build_store(
                     old_values, args.n_clusters, args.seed, probe_limit, prefill,
-                    shards=args.shards, executor=args.executor,
+                    shards=args.shards,
                 )
                 started = time.perf_counter()
                 for start in range(0, n_ops, args.batch_size):

@@ -16,16 +16,13 @@ retries, on the rebalanced layout they land first try.  An unmeasured
 fill phase saturates the static arm's hot shard first, then a measured
 churn window counts **acked** PUTs against wall-clock time.
 
-The claim this benchmark gates (full mode, thread executor): the
+The claim this benchmark gates (full mode): the
 rebalanced store sustains at least ``--min-speedup`` (default 1.5x)
 the static store's PUT goodput, because migrating hot virtual buckets
 off the starved shard converts refused puts back into acked ones —
 while a replayed oracle stays byte-correct in both arms.  ``--smoke``
 runs small CI sizes and reports the ratio without gating it (timing at
 smoke size is noise-dominated); correctness is gated in every mode.
-The process-executor comparison runs only on hosts with at least 4
-cores (on fewer it is skipped with a note — worker processes would
-timeshare one core and measure the scheduler, not the router).
 
 Run:
 
@@ -35,7 +32,6 @@ Run:
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 
@@ -49,7 +45,7 @@ from repro.shard import shard_of
 MODES = ("off", "watermark")
 
 
-def build_store(args, mode: str, executor: str) -> ShardedPNWStore:
+def build_store(args, mode: str) -> ShardedPNWStore:
     config = PNWConfig(
         num_buckets=args.buckets,
         value_bytes=args.value_bytes,
@@ -59,7 +55,6 @@ def build_store(args, mode: str, executor: str) -> ShardedPNWStore:
         shards=args.shards,
         rebalance_mode=mode,
         rebalance_check_interval=args.check_interval,
-        executor=executor,
     )
     return ShardedPNWStore(config)
 
@@ -192,7 +187,7 @@ def check_oracle(store, oracle, rng, samples: int) -> int:
     return mismatches
 
 
-def run_pair(args, executor: str, result, failures, gate: bool) -> None:
+def run_pair(args, result, failures, gate: bool) -> None:
     rng = np.random.default_rng(args.seed + 1)
     warm = rng.integers(
         0, 256, size=(args.buckets, args.value_bytes), dtype=np.uint8
@@ -200,7 +195,7 @@ def run_pair(args, executor: str, result, failures, gate: bool) -> None:
     rounds, picks = build_stream(args)
     goodput = {}
     for mode in MODES:
-        store = build_store(args, mode, executor)
+        store = build_store(args, mode)
         try:
             store.warm_up(warm)
             acked, dropped, elapsed, oracle = drive(
@@ -214,30 +209,30 @@ def run_pair(args, executor: str, result, failures, gate: bool) -> None:
             goodput[mode] = acked / elapsed
             measured_puts = args.rounds * args.puts_per_round
             result.add_row(
-                executor, mode, acked, measured_puts, dropped,
+                mode, acked, measured_puts, dropped,
                 f"{goodput[mode]:,.0f}",
                 stats.rebalances, stats.bucket_moves, stats.keys_migrated,
                 mismatches,
             )
             if mismatches:
                 failures.append(
-                    f"{executor}/{mode}: {mismatches} oracle mismatches"
+                    f"{mode}: {mismatches} oracle mismatches"
                 )
             if mode == "watermark" and stats.bucket_moves == 0:
                 failures.append(
-                    f"{executor}/watermark: the skewed stream never "
+                    f"watermark: the skewed stream never "
                     f"triggered a rebalance"
                 )
         finally:
             store.close()
     speedup = goodput["watermark"] / goodput["off"]
     result.notes.append(
-        f"{executor}: rebalanced PUT goodput {speedup:.2f}x static "
+        f"rebalanced PUT goodput {speedup:.2f}x static "
         f"routing (gate {'>=' + format(args.min_speedup, '.1f') + 'x' if gate else 'reported only'})"
     )
     if gate and speedup < args.min_speedup:
         failures.append(
-            f"{executor}: speedup {speedup:.2f}x below the required "
+            f"speedup {speedup:.2f}x below the required "
             f"{args.min_speedup:.1f}x"
         )
 
@@ -282,7 +277,7 @@ def main(argv: list[str] | None = None) -> int:
     result = ExperimentResult(
         exp_id="bench-shard-rebalance",
         title="Load-aware routing: PUT goodput under a skewed stream",
-        columns=["executor", "mode", "acked_puts", "offered_puts",
+        columns=["mode", "acked_puts", "offered_puts",
                  "shed_puts", "goodput_puts_s", "rebalances",
                  "bucket_moves", "keys_migrated", "mismatches"],
         params={
@@ -295,16 +290,7 @@ def main(argv: list[str] | None = None) -> int:
         },
     )
     failures: list[str] = []
-    run_pair(args, "thread", result, failures, gate=not args.smoke)
-    cores = len(os.sched_getaffinity(0))
-    if cores >= 4:
-        run_pair(args, "process", result, failures, gate=not args.smoke)
-    else:
-        result.notes.append(
-            f"process-executor comparison skipped: {cores} usable "
-            f"core(s) < 4 (workers would timeshare one core and the "
-            f"measurement would reflect the scheduler, not routing)"
-        )
+    run_pair(args, result, failures, gate=not args.smoke)
 
     report(result)
     for failure in failures:

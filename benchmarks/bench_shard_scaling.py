@@ -2,17 +2,13 @@
 """Aggregate PUT throughput vs shard count for the sharded PNW store.
 
 The sharded store hash-partitions the key space into N independent
-zones and runs their batch write pipelines concurrently — on a thread
-pool (``executor=thread``) or on one worker process per shard over
-shared-memory zones (``executor=process``).  Sharding wins twice on the
-PUT hot path: each shard's minimum-Hamming probe (§IV) scans a free
-list 1/N the size, and the per-shard work overlaps — via GIL-releasing
-NumPy stages in thread mode, via fully separate interpreters in process
-mode, which is the mode that keeps scaling when the GIL (not the probe)
-is the ceiling.  This benchmark measures what each executor buys over
-the single-store batch pipeline of PR 1, on the paper's synthetic
-workload, feeding every store the identical key/value stream in
-identical `put_many` batches.
+zones and runs their batch write pipelines concurrently on a thread
+pool.  Sharding wins twice on the PUT hot path: each shard's
+minimum-Hamming probe (§IV) scans a free list 1/N the size, and the
+per-shard work overlaps via GIL-releasing NumPy stages.  This benchmark
+measures what sharding buys over the single-store batch pipeline, on
+the paper's synthetic workload, feeding every store the identical
+key/value stream in identical `put_many` batches.
 
 It also checks wear parity: the sharded store must perform exactly the
 same number of data-zone writes as the single store, with the mean
@@ -20,31 +16,29 @@ programmed cells per write within a small tolerance (placement differs
 across partitions, so bit-flips agree statistically, not bit for bit —
 each shard steers with its own model over the same data distribution).
 
-Results record the detected host core count and the executor of every
-run, so ``results/*.txt`` trajectories are comparable across runners.
-The ``--min-speedup`` gate is skipped (with a note) on hosts with
-fewer than 4 cores — there is no parallel speedup to measure there.
+Results record the detected host core count of every run, so
+``results/*.txt`` trajectories are comparable across runners.  The
+``--min-speedup`` gate is skipped (with a note) on hosts with fewer
+than 4 cores — there is no parallel speedup to measure there.
 
 Run:
 
     PYTHONPATH=src python benchmarks/bench_shard_scaling.py [--smoke]
     PYTHONPATH=src python benchmarks/bench_shard_scaling.py \
-        --executors thread,process --shards 1,2,4 --min-speedup 1.8
+        --shards 1,2,4 --min-speedup 1.8
 
 ``--smoke`` runs CI-sized inputs and checks wear parity only (thread
 speedups on shared runners are too noisy to gate); pass
 ``--min-speedup`` to enforce a throughput gate at the largest shard
 count.  The default probe configuration scores the whole free list
 (``probe_limit=-1``), the content-probing mode where the single store's
-per-op cost is highest — the regime sharding exists for.  Process-mode
-runs additionally assert that no worker process outlives its store.
+per-op cost is highest — the regime sharding exists for.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import multiprocessing
 import os
 import sys
 import time
@@ -57,18 +51,6 @@ from repro.workloads import make_workload
 shard_list = functools.partial(parse_int_list, minimum=1)
 
 
-def executor_list(text: str) -> list[str]:
-    executors = [part.strip() for part in text.split(",") if part.strip()]
-    for executor in executors:
-        if executor not in ("thread", "process"):
-            raise argparse.ArgumentTypeError(
-                f"unknown executor {executor!r} (thread|process)"
-            )
-    if not executors:
-        raise argparse.ArgumentTypeError("need at least one executor")
-    return executors
-
-
 def host_cores() -> int:
     try:
         return len(os.sched_getaffinity(0))
@@ -76,7 +58,7 @@ def host_cores() -> int:
         return os.cpu_count() or 1
 
 
-def build_store(old_values, n_clusters, seed, probe_limit, shards, executor):
+def build_store(old_values, n_clusters, seed, probe_limit, shards):
     store = make_pnw_store(
         old_values.shape[0],
         old_values.shape[1],
@@ -84,7 +66,6 @@ def build_store(old_values, n_clusters, seed, probe_limit, shards, executor):
         seed=seed,
         probe_limit=probe_limit,
         shards=shards,
-        executor=executor,
     )
     store.warm_up(old_values)
     return store
@@ -107,14 +88,6 @@ def wear_of(store) -> dict[str, float]:
     return store.nvm.stats.summary()
 
 
-def assert_no_worker_leak(failures: list[str], context: str) -> None:
-    """Process-mode hygiene: a closed store must leave no live children."""
-    leaked = [child.name for child in multiprocessing.active_children()
-              if child.name.startswith("pnw-shard")]
-    if leaked:
-        failures.append(f"{context}: leaked worker processes {leaked}")
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument(
@@ -130,11 +103,6 @@ def main(argv: list[str] | None = None) -> int:
         "--shards", default=[1, 2, 4], type=shard_list,
         help="comma-separated shard counts to sweep (1 = baseline)",
     )
-    parser.add_argument(
-        "--executors", default=["thread"], type=executor_list,
-        help="comma-separated executors to sweep: thread,process "
-             "(the shards=1 baseline is executor-free)",
-    )
     parser.add_argument("--batch-size", type=int, default=256)
     parser.add_argument("--n-clusters", type=int, default=8)
     parser.add_argument("--seed", type=int, default=7)
@@ -145,8 +113,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--min-speedup", type=float, default=None,
         help="exit non-zero unless the largest shard count reaches this "
-             "aggregate-throughput speedup over the single store (per "
-             "executor; skipped with a note below 4 host cores)",
+             "aggregate-throughput speedup over the single store "
+             "(skipped with a note below 4 host cores)",
     )
     parser.add_argument(
         "--flip-tolerance", type=float, default=0.10,
@@ -178,21 +146,20 @@ def main(argv: list[str] | None = None) -> int:
         f"workload={args.workload}  zone={num_buckets} buckets x "
         f"{old_values.shape[1]}B values  ops={n_ops}  "
         f"batch={args.batch_size}  K={args.n_clusters}  "
-        f"probe_limit={args.probe_limit}  cores={cores}  "
-        f"executors={','.join(args.executors)}"
+        f"probe_limit={args.probe_limit}  cores={cores}"
     ]
     print(lines[0])
 
     failures: list[str] = []
 
-    def timed_run(shards: int, executor: str) -> tuple[float, dict[str, float]]:
+    def timed_run(shards: int) -> tuple[float, dict[str, float]]:
         """Best-of-N wall clock + (deterministic) wear for one config."""
         seconds = None
         wear = None
         for attempt in range(max(1, repeats)):
             store = build_store(
                 old_values, args.n_clusters, args.seed, args.probe_limit,
-                shards, executor,
+                shards,
             )
             elapsed = run_batched(store, keys, new_values, args.batch_size)
             if seconds is None or elapsed < seconds:
@@ -200,50 +167,47 @@ def main(argv: list[str] | None = None) -> int:
             wear = wear_of(store)
             if hasattr(store, "close"):
                 store.close()
-        if executor == "process" and shards > 1:
-            assert_no_worker_leak(failures, f"{executor} shards={shards}")
         return seconds, wear
 
-    # shards=1 is a plain single store — no executor, one shared baseline.
-    baseline_seconds, baseline_wear = timed_run(1, "thread")
+    # shards=1 is a plain single store — the one shared baseline.
+    baseline_seconds, baseline_wear = timed_run(1)
     line = (f"  single store: {n_ops / baseline_seconds:10.0f} ops/s   "
             f" 1.00x   writes={baseline_wear['writes']:.0f}  "
             f"cells/write={baseline_wear['mean_bit_updates_per_write']:.1f}  "
-            f"cores={cores}  executor=none")
+            f"cores={cores}")
     lines.append(line)
     print(line)
 
-    speedups: dict[tuple[str, int], float] = {}
-    for executor in args.executors:
-        for shards in shard_counts:
-            if shards == 1:
-                continue
-            seconds, wear = timed_run(shards, executor)
-            speedups[(executor, shards)] = baseline_seconds / seconds
-            label = f"{executor} x{shards}"
-            line = (f"{label:>14}: {n_ops / seconds:10.0f} ops/s   "
-                    f"{speedups[(executor, shards)]:5.2f}x   "
-                    f"writes={wear['writes']:.0f}  "
-                    f"cells/write={wear['mean_bit_updates_per_write']:.1f}  "
-                    f"cores={cores}  executor={executor}  shards={shards}")
-            if wear["writes"] != baseline_wear["writes"]:
-                failures.append(
-                    f"{executor} shards={shards}: {wear['writes']:.0f} "
-                    f"data-zone writes vs single-store "
-                    f"{baseline_wear['writes']:.0f}"
-                )
-            flip_rel = abs(
-                wear["mean_bit_updates_per_write"]
-                - baseline_wear["mean_bit_updates_per_write"]
-            ) / baseline_wear["mean_bit_updates_per_write"]
-            line += f"   flip-delta={flip_rel * 100:.1f}%"
-            if flip_rel > args.flip_tolerance:
-                failures.append(
-                    f"{executor} shards={shards}: mean cells/write off by "
-                    f"{flip_rel * 100:.1f}% (> {args.flip_tolerance * 100:.0f}%)"
-                )
-            lines.append(line)
-            print(line)
+    speedups: dict[int, float] = {}
+    for shards in shard_counts:
+        if shards == 1:
+            continue
+        seconds, wear = timed_run(shards)
+        speedups[shards] = baseline_seconds / seconds
+        label = f"thread x{shards}"
+        line = (f"{label:>14}: {n_ops / seconds:10.0f} ops/s   "
+                f"{speedups[shards]:5.2f}x   "
+                f"writes={wear['writes']:.0f}  "
+                f"cells/write={wear['mean_bit_updates_per_write']:.1f}  "
+                f"cores={cores}  shards={shards}")
+        if wear["writes"] != baseline_wear["writes"]:
+            failures.append(
+                f"shards={shards}: {wear['writes']:.0f} "
+                f"data-zone writes vs single-store "
+                f"{baseline_wear['writes']:.0f}"
+            )
+        flip_rel = abs(
+            wear["mean_bit_updates_per_write"]
+            - baseline_wear["mean_bit_updates_per_write"]
+        ) / baseline_wear["mean_bit_updates_per_write"]
+        line += f"   flip-delta={flip_rel * 100:.1f}%"
+        if flip_rel > args.flip_tolerance:
+            failures.append(
+                f"shards={shards}: mean cells/write off by "
+                f"{flip_rel * 100:.1f}% (> {args.flip_tolerance * 100:.0f}%)"
+            )
+        lines.append(line)
+        print(line)
 
     saved = results_path("bench-shard-scaling")
     saved.write_text("\n".join(lines) + "\n")
@@ -259,16 +223,13 @@ def main(argv: list[str] | None = None) -> int:
                   f"no parallel speedup to measure")
         else:
             gated = max(shard_counts)
-            for executor in args.executors:
-                speedup = speedups.get((executor, gated))
-                if speedup is None:
-                    continue
-                if speedup < args.min_speedup:
-                    print(
-                        f"ERROR: {executor} speedup at {gated} shards is "
-                        f"{speedup:.2f}x, below the required "
-                        f"{args.min_speedup:.2f}x", file=sys.stderr)
-                    return 1
+            speedup = speedups.get(gated)
+            if speedup is not None and speedup < args.min_speedup:
+                print(
+                    f"ERROR: speedup at {gated} shards is {speedup:.2f}x, "
+                    f"below the required {args.min_speedup:.2f}x",
+                    file=sys.stderr)
+                return 1
     return 0
 
 

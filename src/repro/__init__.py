@@ -45,7 +45,6 @@ from .errors import (
     QueueClosedError,
     QueueFullError,
     ReproError,
-    WorkerCrashedError,
 )
 from .engine import MutationEngine
 from .ingest import AsyncIngestQueue, IngestQueue
@@ -123,7 +122,6 @@ __all__ = [
     "QueueFullError",
     "QueueClosedError",
     "DeadlineExceededError",
-    "WorkerCrashedError",
     "MediaError",
     "DegradedModeError",
     "__version__",

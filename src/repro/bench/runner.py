@@ -113,7 +113,6 @@ def make_pnw_store(
     update_mode: str = "endurance",
     probe_limit: int = 64,
     shards: int = 1,
-    executor: str = "thread",
 ) -> PNWStore | ShardedPNWStore:
     """A store configured for the paper's measurement streams.
 
@@ -121,11 +120,9 @@ def make_pnw_store(
     once on the old data); pass ``allow_retrain=True`` for the lifecycle
     experiments (Fig. 10).  ``probe_limit=0`` selects Algorithm 2's plain
     free-list pop instead of §IV's minimum-Hamming probing.
-    ``shards=N`` hash-partitions the zone into N concurrent per-shard
-    batch pipelines (see :mod:`repro.shard`); ``num_buckets`` stays the
-    *total* capacity.  ``executor="process"`` runs those pipelines in
-    per-shard worker processes on shared-memory zones instead of threads
-    (ignored at ``shards=1``, where there is nothing to parallelize).
+    ``shards=N`` hash-partitions the zone into N per-shard batch
+    pipelines run on a thread pool (see :mod:`repro.shard`);
+    ``num_buckets`` stays the *total* capacity.
     """
     config = PNWConfig(
         num_buckets=num_buckets,
@@ -139,7 +136,6 @@ def make_pnw_store(
         update_mode=update_mode,
         probe_limit=probe_limit,
         shards=shards,
-        executor=executor,
         load_factor=0.9 if allow_retrain else 1.0,
         retrain_check_interval=128 if allow_retrain else 2**62,
     )
@@ -171,7 +167,6 @@ class PNWStreamSession:
         allow_retrain: bool = False,
         probe_limit: int = 64,
         shards: int = 1,
-        executor: str = "thread",
     ) -> None:
         old_values = np.atleast_2d(old_values)
         self.store = make_pnw_store(
@@ -185,7 +180,6 @@ class PNWStreamSession:
             allow_retrain=allow_retrain,
             probe_limit=probe_limit,
             shards=shards,
-            executor=executor,
         )
         self.store.warm_up(old_values)
         self.live_window = (

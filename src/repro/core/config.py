@@ -89,13 +89,9 @@ class PNWConfig:
         :class:`repro.shard.ShardedPNWStore`, which split ``num_buckets``
         across the shards; a plain :class:`PNWStore` ignores it.
     executor:
-        How :class:`repro.shard.ShardedPNWStore` runs its shards:
-        ``"thread"`` (the default — per-shard stores in-process, batched
-        through a thread pool) or ``"process"`` (one long-lived worker
-        process per shard over shared-memory zones, escaping the GIL for
-        real multi-core scaling).  Byte-identity contract: both executors
-        produce identical store state and reports.  A plain
-        :class:`PNWStore` ignores it.
+        How :class:`repro.shard.ShardedPNWStore` runs its shards.  The
+        one legal value is ``"thread"``: per-shard stores in-process,
+        batched through a thread pool.
     tier_mode:
         DRAM tier policy, consumed by :func:`repro.shard.make_store`:
         ``"off"`` (no tier — the bare store), ``"write_through"`` (read
@@ -125,8 +121,7 @@ class PNWConfig:
         stuck-at its current value.  With the model on, every
         commit-stage write is read-back-verified and an op that landed
         on stuck bits is relocated (its row retired).  Requires ``seed``
-        so the faulty cell set is deterministic (and reproducible by a
-        respawned process worker).
+        so the faulty cell set is deterministic.
     media_fault_budget:
         Upper bound of the per-cell endurance budget draw
         (``rng.integers(0, budget + 1)``).  ``0`` means every weakened
@@ -216,9 +211,14 @@ class PNWConfig:
                 f"shards={self.shards} exceeds num_buckets={self.num_buckets}; "
                 "every shard needs at least one bucket"
             )
-        if self.executor not in ("thread", "process"):
+        if self.executor == "process":
             raise ConfigError(
-                f"executor must be 'thread' or 'process', got {self.executor!r}"
+                "executor='process' was removed; 'thread' is the only "
+                "shard executor"
+            )
+        if self.executor != "thread":
+            raise ConfigError(
+                f"executor must be 'thread', got {self.executor!r}"
             )
         if self.tier_mode not in ("off", "write_through", "write_back", "predictive"):
             raise ConfigError(
@@ -264,8 +264,7 @@ class PNWConfig:
         if self.media_fault_rate > 0.0 and self.seed is None:
             raise ConfigError(
                 "media_fault_rate > 0 requires a seed: the faulty-cell map "
-                "must be deterministic so recovery and respawned process "
-                "workers rebuild the same media"
+                "must be deterministic so every run rebuilds the same media"
             )
         if self.bucket_bytes % self.word_bytes != 0:
             raise ConfigError(

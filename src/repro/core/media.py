@@ -4,10 +4,9 @@ Companion to :class:`~repro.nvm.faults.FaultModel`: the fault model makes
 cells fail, this module makes the store survive it.
 
 * :class:`BadRowDirectory` — the persistent registry of retired rows,
-  backed by a packed bitmap that lives inside the shared-memory zone
-  layout (region ``"retired"``) so process workers and post-crash
-  recovery all see the same condemnations.  A retired row is removed
-  from the address pool's free lists and never handed out again.
+  a packed bitmap that survives ``crash()`` so post-crash recovery sees
+  the same condemnations.  A retired row is removed from the address
+  pool's free lists and never handed out again.
 * :class:`MediaScrubber` — DRAM-side patrol state: one CRC32 checksum
   per occupied row (refreshed on every verified write) plus a cursor, so
   :meth:`PNWStore.scrub` can patrol-read the zone incrementally and
@@ -44,25 +43,15 @@ def row_checksum(row: np.ndarray) -> int:
 class BadRowDirectory:
     """Packed bitmap of retired (condemned) row addresses.
 
-    ``bitmap`` may be an externally owned ``uint8`` array of
-    ``ceil(num_buckets / 8)`` bytes — typically the shared zone's
-    ``"retired"`` region — in which case retirements recorded by one
-    process are immediately visible to every other mapping.  Bit ``a``
-    of the bitmap (little-endian within each byte) marks address ``a``.
+    Bit ``a`` of the ``ceil(num_buckets / 8)``-byte bitmap
+    (little-endian within each byte) marks address ``a``.
     """
 
-    def __init__(self, num_buckets: int, bitmap: np.ndarray | None = None) -> None:
+    def __init__(self, num_buckets: int) -> None:
         if num_buckets <= 0:
             raise ValueError(f"num_buckets must be positive, got {num_buckets}")
-        nbytes = -(-num_buckets // 8)
-        if bitmap is None:
-            bitmap = np.zeros(nbytes, dtype=np.uint8)
-        if bitmap.shape != (nbytes,) or bitmap.dtype != np.uint8:
-            raise ValueError(
-                f"bitmap must be uint8 ({nbytes},), got {bitmap.dtype} {bitmap.shape}"
-            )
         self.num_buckets = int(num_buckets)
-        self._bits = bitmap
+        self._bits = np.zeros(-(-num_buckets // 8), dtype=np.uint8)
 
     def _locate(self, address: int) -> tuple[int, int]:
         if not 0 <= address < self.num_buckets:

@@ -69,9 +69,8 @@ def execute_runs(store, runs: list[tuple[str, list]]) -> list[RunOutcome]:
     ``runs`` is an ordered list of ``(kind, items)`` where ``kind`` is
     ``"put"`` / ``"update"`` / ``"delete"`` and ``items`` the matching
     ``*_many`` argument.  Each run executes in order on ``store`` (a
-    leaf, a shard worker's leaf, or the tier) and yields one
-    ``(reports, error)`` outcome; runs are independent — a failing run
-    does not stop the later ones.
+    leaf or the tier) and yields one ``(reports, error)`` outcome; runs
+    are independent — a failing run does not stop the later ones.
     """
     ops = {
         "put": store.put_many,
@@ -90,15 +89,6 @@ def execute_runs(store, runs: list[tuple[str, list]]) -> list[RunOutcome]:
 class PNWStore:
     """Predict-and-Write K/V store on simulated hybrid DRAM-NVM memory.
 
-    ``zone`` optionally backs the durable regions (data zone, validity
-    bitmap, both wear counters) with a :class:`~repro.nvm.shm.SharedZone`
-    view instead of private arrays.  A shard worker process builds its
-    store this way: the buffers outlive the worker, so a respawned worker
-    re-attaches the same zone and runs the ordinary :meth:`recover` path.
-    Buffers are used as-is — a fresh segment is zero-filled (the normal
-    empty-store state) and a post-crash segment holds the dead worker's
-    durable state.
-
     The leaf also answers the one-lane form of the store surface the
     shard router, the DRAM tier and the ingest queue speak (one shard,
     routing epoch 0, nothing to pin, rebalance or close), so wrappers
@@ -110,31 +100,21 @@ class PNWStore:
     #: The routing table never changes (there is none).
     routing_epoch = 0
 
-    def __init__(self, config: PNWConfig, *, zone=None) -> None:
+    def __init__(self, config: PNWConfig) -> None:
         self.config = config
-        self.zone = zone
         # Media fault machinery first: the fault model plugs into the
         # device, and the retirement directory must exist before the
-        # first pool build so re-attached retirements are re-blocked.
+        # first pool build.
         faults = None
         if config.media_enabled:
-            stuck = (
-                zone.view("stuck")
-                if zone is not None and zone.has_region("stuck")
-                else None
-            )
             faults = FaultModel(
                 config.num_buckets,
                 config.bucket_bytes,
                 fault_rate=config.media_fault_rate,
                 fault_budget=config.media_fault_budget,
                 seed=config.seed,
-                stuck=stuck,
             )
-        self.bad_rows = BadRowDirectory(
-            config.num_buckets,
-            bitmap=zone.view("retired") if zone is not None else None,
-        )
+        self.bad_rows = BadRowDirectory(config.num_buckets)
         self.media_stats = MediaStats()
         self.scrubber = MediaScrubber(config.num_buckets) if config.media_enabled else None
         self._retire_limit = max(
@@ -145,8 +125,6 @@ class PNWStore:
             config.bucket_bytes,
             word_bytes=config.word_bytes,
             track_bit_wear=config.track_bit_wear,
-            nvm_data=zone.view("data") if zone is not None else None,
-            nvm_stats=zone.data_stats() if zone is not None else None,
             nvm_faults=faults,
         )
         # Validity bitmap: one bit per bucket, packed into 4-byte NVM words
@@ -154,12 +132,7 @@ class PNWStore:
         # persist_flags=False (the paper's Fig. 2a), flags live in DRAM
         # alongside the index and crash recovery is unavailable.
         bitmap_words = -(-config.num_buckets // 32)
-        self.flags_nvm = SimulatedNVM(
-            bitmap_words,
-            4,
-            data=zone.view("flags") if zone is not None else None,
-            stats=zone.flag_stats() if zone is not None else None,
-        )
+        self.flags_nvm = SimulatedNVM(bitmap_words, 4)
         self._valid_dram = (
             np.zeros(config.num_buckets, dtype=bool)
             if not config.persist_flags
@@ -428,10 +401,8 @@ class PNWStore:
     def get_many(self, keys: Iterable[bytes]) -> list[bytes]:
         """Read many keys in order (one padded value per key).
 
-        The bulk read of the shard rebalancer's migration batches — for
-        a process-executor shard it turns a bucket copy into one RPC
-        round-trip instead of one per key.  A missing key raises
-        :class:`KeyNotFoundError` like :meth:`get`.
+        The bulk read of the shard rebalancer's migration batches.  A
+        missing key raises :class:`KeyNotFoundError` like :meth:`get`.
         """
         return [self.get(key) for key in keys]
 
@@ -556,8 +527,7 @@ class PNWStore:
 
         The media layer splits across the line: scrub checksums and the
         patrol cursor are DRAM (they reset), while the retirement bitmap
-        and the fault model's stuck cells are media facts that survive —
-        on a shared zone they literally live in the segment.
+        and the fault model's stuck cells are media facts that survive.
         """
         self.manager = ModelManager(self.config)
         self.pool = self._new_pool(1)

@@ -18,7 +18,6 @@ __all__ = [
     "QueueFullError",
     "QueueClosedError",
     "DeadlineExceededError",
-    "WorkerCrashedError",
     "MediaError",
     "DegradedModeError",
 ]
@@ -58,11 +57,8 @@ class PoolExhaustedError(CapacityError):
 
     The same partial-commit contract is shared by
     :class:`KeyNotFoundError` (batched update/delete stops at the first
-    missing key), :class:`DegradedModeError` (writes shed before any op
-    is applied, so ``committed_reports`` is empty), and — without the
-    attribute, because the in-flight reports died with the worker —
-    :class:`WorkerCrashedError`, whose unflagged sub-batch is simply
-    retried whole."""
+    missing key) and :class:`DegradedModeError` (writes shed before any
+    op is applied, so ``committed_reports`` is empty)."""
 
 
 class NotFittedError(ReproError):
@@ -88,19 +84,6 @@ class QueueClosedError(ReproError, RuntimeError):
 class DeadlineExceededError(ReproError):
     """An op's admission deadline passed before its batch was dispatched
     (``deadline`` policy): the op was never applied to the store."""
-
-
-class WorkerCrashedError(ReproError):
-    """A shard worker process died while executing a request.
-
-    Raised by the process executor after the worker has already been
-    respawned over the surviving shared zone and the standard recovery
-    path has run, so the caller may simply retry: the zone is servable
-    again, with only the dead worker's unflagged (in-flight) operations
-    lost — exactly the torn-shard crash semantics of a power failure.
-    :class:`repro.ingest.IngestQueue` performs that retry itself
-    (bounded attempts with jittered backoff) before surfacing the error
-    to producers."""
 
 
 class MediaError(ReproError):

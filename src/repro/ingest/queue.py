@@ -8,10 +8,9 @@ get a :class:`~concurrent.futures.Future`; the queue coalesces pending
 ops into per-shard ``put_many`` / ``update_many`` / ``delete_many``
 batches under a size/latency-deadline policy and drains them through
 the store's existing batch pipelines — the sharded store's per-shard
-engines included, whichever executor backs them (dispatch goes through
-``run_shard_batches``, so thread-pooled shards and per-shard worker
-processes over shared memory behave identically here) — resolving each
-future with its op's :class:`~repro.core.reports.OperationReport`.
+engines included (dispatch goes through ``run_shard_batches``) —
+resolving each future with its op's
+:class:`~repro.core.reports.OperationReport`.
 
 Admission control
 -----------------
@@ -81,7 +80,6 @@ from __future__ import annotations
 
 import contextlib
 import itertools
-import random
 import threading
 import time
 from concurrent.futures import Future, InvalidStateError
@@ -91,12 +89,7 @@ import numpy as np
 
 from ..core.reports import OperationReport
 from ..core.store import PNWStore
-from ..errors import (
-    DeadlineExceededError,
-    QueueClosedError,
-    QueueFullError,
-    WorkerCrashedError,
-)
+from ..errors import DeadlineExceededError, QueueClosedError, QueueFullError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..shard.store import ShardedPNWStore
@@ -295,8 +288,8 @@ class IngestQueue:
         )
         self.batches_dispatched = 0
         self.ops_rejected = 0
-        #: Ops re-submitted after their run died to a worker-process
-        #: crash (each op counts once per retry attempt).
+        #: Always 0: dispatch never re-submits a run.  Kept because the
+        #: perf ledger reads it as ``ingest.retried``.
         self.ops_retried = 0
         #: Guards ops_rejected: shed/deadline producers and _expire
         #: (under the drain lock) all bump it concurrently.
@@ -648,12 +641,6 @@ class IngestQueue:
             # Ordinary failures live on the futures; swallowing here
             # keeps the flusher thread alive and close() non-raising.
 
-    #: Retry policy for runs lost to a worker-process crash: how many
-    #: re-submissions before the error reaches the futures, and the
-    #: backoff base (seconds; doubled per attempt, jittered ±50%).
-    worker_retry_limit = 3
-    worker_retry_backoff = 0.01
-
     def _dispatch_inner(self, batches: dict[int, list[_Run]]) -> None:
         # Give the store's rebalancer its shot *before* pinning the
         # routing epoch — a rebalance pass takes the epoch's write side,
@@ -675,43 +662,16 @@ class IngestQueue:
                 for run in runs
             ):
                 pending = self._reroute(pending, epoch)
-            for attempt in range(self.worker_retry_limit + 1):
-                results = self.store.run_shard_batches(
-                    {
-                        shard_id: [(run.kind, run.items) for run in runs]
-                        for shard_id, runs in pending.items()
-                    }
-                )
-                retry: dict[int, list[_Run]] = {}
-                for shard_id, outcomes in results.items():
-                    for run, (reports, error) in zip(pending[shard_id], outcomes):
-                        if (
-                            isinstance(error, WorkerCrashedError)
-                            and attempt < self.worker_retry_limit
-                        ):
-                            # The shard worker died mid-run; its zone has
-                            # already been recovered, so the run is safe
-                            # to re-submit whole (puts/updates are
-                            # idempotent upserts; a delete that half
-                            # landed re-raises the standard missing-key
-                            # outcome).  Bounded + jittered so a
-                            # crash-looping worker fails loudly instead
-                            # of hammering the respawn path in lockstep.
-                            retry.setdefault(shard_id, []).append(run)
-                        else:
-                            self._resolve(run, reports, error)
-                            self.batches_dispatched += 1
-                if not retry:
-                    return
-                self.ops_retried += sum(
-                    len(run.items) for runs in retry.values() for run in runs
-                )
-                time.sleep(
-                    self.worker_retry_backoff
-                    * (2 ** attempt)
-                    * (0.5 + random.random())
-                )
-                pending = retry
+            results = self.store.run_shard_batches(
+                {
+                    shard_id: [(run.kind, run.items) for run in runs]
+                    for shard_id, runs in pending.items()
+                }
+            )
+            for shard_id, outcomes in results.items():
+                for run, (reports, error) in zip(pending[shard_id], outcomes):
+                    self._resolve(run, reports, error)
+                    self.batches_dispatched += 1
 
     def _reroute(
         self, pending: dict[int, list[_Run]], epoch: int

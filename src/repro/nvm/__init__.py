@@ -4,8 +4,7 @@ from .device import SimulatedNVM, WriteReport
 from .faults import FaultModel
 from .hybrid import DRAMRegion, HybridMemory
 from .latency import TECHNOLOGIES, LatencyModel, MemoryTechnology
-from .shm import SharedZone, ZoneLayout
-from .stats import MediaStats, SharedWearStats, WearStats, cdf_of_counts
+from .stats import MediaStats, WearStats, cdf_of_counts
 
 __all__ = [
     "SimulatedNVM",
@@ -18,8 +17,5 @@ __all__ = [
     "MemoryTechnology",
     "WearStats",
     "MediaStats",
-    "SharedWearStats",
-    "SharedZone",
-    "ZoneLayout",
     "cdf_of_counts",
 ]

@@ -73,17 +73,6 @@ class SimulatedNVM:
         ``num_buckets * bucket_bytes * 8`` uint32 cells).
     latency:
         Latency model; defaults to the 3D-XPoint 600 ns line write.
-    data:
-        Optional caller-owned ``(num_buckets, bucket_bytes)`` uint8
-        buffer to use as the data zone instead of allocating one —
-        typically a :class:`~repro.nvm.shm.SharedZone` view, so a shard
-        worker process and its parent address the same bytes.  The
-        buffer is used as-is (never zeroed): fresh shared segments are
-        zero-filled, and a post-crash re-attach must preserve contents.
-    stats:
-        Optional externally owned :class:`WearStats` (e.g. a
-        :class:`~repro.nvm.stats.SharedWearStats`) to account into
-        instead of allocating a private one.
     faults:
         Optional :class:`~repro.nvm.faults.FaultModel`.  When present,
         every write is filtered through it just before the bytes land:
@@ -102,8 +91,6 @@ class SimulatedNVM:
         word_bytes: int = 4,
         track_bit_wear: bool = False,
         latency: LatencyModel | None = None,
-        data: np.ndarray | None = None,
-        stats: WearStats | None = None,
         faults: "FaultModel | None" = None,
     ) -> None:
         if num_buckets <= 0:
@@ -120,19 +107,9 @@ class SimulatedNVM:
         self.cacheline_bytes = cacheline_bytes
         self.word_bytes = word_bytes
         self.latency = latency if latency is not None else LatencyModel()
-        if data is None:
-            data = np.zeros((num_buckets, bucket_bytes), dtype=np.uint8)
-        elif data.shape != (num_buckets, bucket_bytes) or data.dtype != np.uint8:
-            raise ValueError(
-                f"external data buffer must be uint8 of shape "
-                f"({num_buckets}, {bucket_bytes}), got {data.dtype} "
-                f"{data.shape}"
-            )
-        self._data = data
+        self._data = np.zeros((num_buckets, bucket_bytes), dtype=np.uint8)
         self._aux: dict[int, Any] = {}
-        if stats is None:
-            stats = WearStats(num_buckets, bucket_bytes, track_bit_wear)
-        self.stats = stats
+        self.stats = WearStats(num_buckets, bucket_bytes, track_bit_wear)
         self.faults = faults
 
     # ------------------------------------------------------------------ #

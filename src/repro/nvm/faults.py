@@ -22,17 +22,11 @@ Two consequences shape the layers above:
   stuck mask (the scrubber's :meth:`FaultModel.probe`).
 
 Determinism: the weakened-cell map and budgets are a pure function of
-``(num_buckets, bucket_bytes, fault_rate, fault_budget, seed)``, so a
-respawned process worker reconstructs the identical media.  The dense
-stuck mask can live in a :class:`~repro.nvm.shm.SharedZone` region
-(``media_stuck``), making already-stuck cells — the part that is *not*
-reconstructible, because it depends on write history — survive worker
-crashes exactly like the data they froze.  Remaining budgets are
-deliberately not persisted: a write-time stick always retires its row
-(see :mod:`repro.core.media`), so a respawned worker re-drawing full
-budgets can never resurrect a retired row or corrupt an acknowledged
-one; it only makes the surviving weakened cells young again — a
-documented modeling compromise, not a correctness hole.
+``(num_buckets, bucket_bytes, fault_rate, fault_budget, seed)``, so two
+stores built from one config see identical media.  The dense stuck mask
+is the part that depends on write history; like the data it froze, it
+survives :meth:`~repro.core.store.PNWStore.crash` (it is media state,
+not DRAM).
 """
 
 from __future__ import annotations
@@ -57,11 +51,6 @@ class FaultModel:
         flips.  ``0`` ⇒ every weakened cell is born depleted.
     seed:
         Required; drives both cell selection and budget draws.
-    stuck:
-        Optional externally-owned ``uint8 (num_buckets, bucket_bytes)``
-        mask of already-stuck bits (e.g. a shared-memory view).  Bits
-        set here on entry are honoured and excluded from the pending
-        set.  When ``None`` a private zeroed mask is used.
     """
 
     def __init__(
@@ -72,7 +61,6 @@ class FaultModel:
         fault_rate: float,
         fault_budget: int = 0,
         seed: int,
-        stuck: np.ndarray | None = None,
     ) -> None:
         if not 0.0 <= fault_rate < 1.0:
             raise ValueError(f"fault_rate must be in [0, 1), got {fault_rate}")
@@ -82,14 +70,8 @@ class FaultModel:
             raise ValueError("FaultModel requires a seed")
         self.num_buckets = int(num_buckets)
         self.bucket_bytes = int(bucket_bytes)
-        if stuck is None:
-            stuck = np.zeros((num_buckets, bucket_bytes), dtype=np.uint8)
-        if stuck.shape != (num_buckets, bucket_bytes) or stuck.dtype != np.uint8:
-            raise ValueError(
-                f"stuck mask must be uint8 ({num_buckets}, {bucket_bytes}), "
-                f"got {stuck.dtype} {stuck.shape}"
-            )
-        self.stuck = stuck
+        #: Already-stuck bits, one ``uint8`` mask per row.
+        self.stuck = np.zeros((num_buckets, bucket_bytes), dtype=np.uint8)
         self.fault_rate = float(fault_rate)
         self.fault_budget = int(fault_budget)
         self.seed = int(seed)
@@ -108,13 +90,10 @@ class FaultModel:
         rest = flat % bits_per_row
         cols = (rest // 8).astype(np.int64)
         masks = (np.uint8(1) << (rest % 8).astype(np.uint8)).astype(np.uint8)
-        # Cells already frozen by a previous life of this zone (persisted
-        # stuck mask) are not pending any more.
-        live = (self.stuck[rows, cols] & masks) == 0
-        self._rows = rows[live]
-        self._cols = cols[live]
-        self._masks = masks[live]
-        self._budget = budgets[live]
+        self._rows = rows
+        self._cols = cols
+        self._masks = masks
+        self._budget = budgets
         self._live = np.ones(len(self._rows), dtype=bool)
         by_row: dict[int, list[int]] = {}
         for i, r in enumerate(self._rows):
@@ -211,5 +190,5 @@ class FaultModel:
 
     @property
     def stuck_cells(self) -> int:
-        """Total stuck bits in the zone (including persisted ones)."""
+        """Total stuck bits in the zone."""
         return int(np.unpackbits(self.stuck.reshape(-1)).sum())

@@ -77,8 +77,6 @@ class HybridMemory:
         word_bytes: int = 4,
         track_bit_wear: bool = False,
         nvm_latency: LatencyModel | None = None,
-        nvm_data=None,
-        nvm_stats=None,
         nvm_faults=None,
     ) -> None:
         self.nvm = SimulatedNVM(
@@ -87,8 +85,6 @@ class HybridMemory:
             word_bytes=word_bytes,
             track_bit_wear=track_bit_wear,
             latency=nvm_latency,
-            data=nvm_data,
-            stats=nvm_stats,
             faults=nvm_faults,
         )
         self.dram = DRAMRegion()

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-__all__ = ["WearStats", "SharedWearStats", "MediaStats", "cdf_of_counts"]
+__all__ = ["WearStats", "MediaStats", "cdf_of_counts"]
 
 
 def cdf_of_counts(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -78,8 +78,7 @@ class MediaStats(_Counters):
 
     Mergeable across shards like :class:`WearStats` /
     :class:`~repro.tier.stats.TierStats` (field-generic sum, so new
-    counters can never be silently under-reported), and a plain picklable
-    dataclass so a process worker can snapshot it over the RPC pipe.
+    counters can never be silently under-reported).
 
     * ``verify_failures`` — read-back compares that caught stuck bits
       (initial batch verify plus failed relocation candidates).
@@ -112,14 +111,9 @@ class WearStats:
 
     ``bit_wear`` is allocated lazily only when bit-level tracking is
     enabled, because it costs ``num_buckets * bucket_bits`` counters.
-
-    The scalar totals below are declared as class-level name lists so a
-    subclass (:class:`SharedWearStats`) can back the exact same counter
-    names with shared-memory slots via data descriptors; the base class
-    keeps plain instance ints/floats on the hot path.
     """
 
-    #: Scalar counters, in shared-slot order (int64 slots 0..5).
+    #: Integer scalar counters (zeroed, reset and summed by ``merge``).
     INT_TOTALS = (
         "total_writes",
         "total_reads",
@@ -128,7 +122,7 @@ class WearStats:
         "total_words_touched",
         "total_lines_touched",
     )
-    #: Scalar latency accumulators, in shared-slot order (float64 slots 0..1).
+    #: Scalar latency accumulators (floats).
     FLOAT_TOTALS = ("total_write_latency_ns", "total_read_latency_ns")
 
     def __init__(self, num_buckets: int, bucket_bytes: int,
@@ -325,90 +319,3 @@ class WearStats:
         for name in self.FLOAT_TOTALS:
             setattr(self, name, 0.0)
 
-
-class SharedWearStats(WearStats):
-    """:class:`WearStats` whose counters live in caller-owned buffers.
-
-    Built over views of a :class:`~repro.nvm.shm.SharedZone` so a shard
-    worker process and its parent see the same wear accounting, and the
-    counters survive a ``kill -9``'d worker.  Attaching never zeroes
-    anything: a freshly created segment arrives zero-filled, and a
-    re-attach after a worker crash must preserve what the dead worker
-    already accounted.
-
-    The scalar totals are data descriptors over two tiny shared arrays
-    (``int_totals`` int64[6], ``float_totals`` float64[2], slot order
-    given by :attr:`WearStats.INT_TOTALS` / :attr:`WearStats.FLOAT_TOTALS`),
-    so every ``total_* += ...`` in the inherited record methods lands in
-    shared memory unchanged.
-    """
-
-    def __init__(
-        self,
-        num_buckets: int,
-        bucket_bytes: int,
-        *,
-        writes_per_address: np.ndarray,
-        int_totals: np.ndarray,
-        float_totals: np.ndarray,
-        bit_wear: np.ndarray | None = None,
-    ) -> None:
-        if writes_per_address.shape != (num_buckets,):
-            raise ValueError(
-                f"writes_per_address must have shape ({num_buckets},), "
-                f"got {writes_per_address.shape}"
-            )
-        if int_totals.shape != (len(self.INT_TOTALS),):
-            raise ValueError("int_totals has the wrong number of slots")
-        if float_totals.shape != (len(self.FLOAT_TOTALS),):
-            raise ValueError("float_totals has the wrong number of slots")
-        # Deliberately no super().__init__(): the base would allocate
-        # private arrays and zero the scalar slots through the
-        # descriptors below.
-        self.num_buckets = num_buckets
-        self.bucket_bytes = bucket_bytes
-        self.track_bit_wear = bit_wear is not None
-        self.writes_per_address = writes_per_address
-        self.bit_wear = bit_wear
-        self._int_totals = int_totals
-        self._float_totals = float_totals
-
-    def detach(self) -> None:
-        """Replace the shared views with private copies.
-
-        Called when the owning segment is about to be closed/unlinked:
-        the counters keep their last values (so post-close aggregation
-        still works) but no longer pin the shared mapping open.
-        """
-        self.writes_per_address = self.writes_per_address.copy()
-        if self.bit_wear is not None:
-            self.bit_wear = self.bit_wear.copy()
-        self._int_totals = self._int_totals.copy()
-        self._float_totals = self._float_totals.copy()
-
-
-def _int_slot(index: int):
-    def fget(self: SharedWearStats) -> int:
-        return int(self._int_totals[index])
-
-    def fset(self: SharedWearStats, value: int) -> None:
-        self._int_totals[index] = value
-
-    return property(fget, fset)
-
-
-def _float_slot(index: int):
-    def fget(self: SharedWearStats) -> float:
-        return float(self._float_totals[index])
-
-    def fset(self: SharedWearStats, value: float) -> None:
-        self._float_totals[index] = value
-
-    return property(fget, fset)
-
-
-for _i, _name in enumerate(WearStats.INT_TOTALS):
-    setattr(SharedWearStats, _name, _int_slot(_i))
-for _i, _name in enumerate(WearStats.FLOAT_TOTALS):
-    setattr(SharedWearStats, _name, _float_slot(_i))
-del _i, _name

@@ -1,6 +1,5 @@
 """Sharded PNW: hash-partitioned zones with concurrent batch pipelines."""
 
-from .procpool import ShardProcessClient
 from .rebalance import Rebalancer
 from .router import (
     ROUTER_SEED,
@@ -17,7 +16,6 @@ __all__ = [
     "Rebalancer",
     "RouterStats",
     "RoutingTable",
-    "ShardProcessClient",
     "ShardedPNWStore",
     "assign_shards",
     "hash_keys",

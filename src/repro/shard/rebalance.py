@@ -51,12 +51,7 @@ import threading
 
 import numpy as np
 
-from ..errors import (
-    DegradedModeError,
-    KeyNotFoundError,
-    PoolExhaustedError,
-    WorkerCrashedError,
-)
+from ..errors import DegradedModeError, KeyNotFoundError, PoolExhaustedError
 from .router import hash_keys
 
 __all__ = [
@@ -231,10 +226,6 @@ class Rebalancer:
     at a time; concurrent callers skip rather than queue.
     """
 
-    #: Re-submissions of a migration batch lost to a worker-process
-    #: crash before the error escapes the pass.
-    migration_retry_limit = 3
-
     def __init__(self, store) -> None:
         self.store = store
         self.config = store.config
@@ -345,14 +336,13 @@ class Rebalancer:
         donor_store = store.stores[donor]
         recipient_store = store.stores[recipient]
         copied: list[bytes] = []
-        with self._deferred_retrain(donor_store), \
-                self._deferred_retrain(recipient_store):
+        with donor_store.engine.deferred_retrain(), \
+                recipient_store.engine.deferred_retrain():
             for start in range(0, len(keys), REBALANCE_MAX_KEYS):
                 chunk = keys[start : start + REBALANCE_MAX_KEYS]
-                values = self._read_chunk(donor_store, chunk)
-                pairs = list(zip(chunk, values))
+                pairs = list(zip(chunk, donor_store.get_many(chunk)))
                 if not self._copy_chunk(recipient_store, pairs):
-                    self._undo_copies(recipient_store, copied)
+                    self._delete_copies(recipient_store, copied)
                     return False
                 copied.extend(chunk)
                 if self._crash_point == "copy":
@@ -369,83 +359,44 @@ class Rebalancer:
         self._bump(keys_migrated=len(copied))
         return True
 
-    def _read_chunk(self, donor_store, chunk: list[bytes]) -> list[bytes]:
-        for attempt in range(self.migration_retry_limit + 1):
-            try:
-                return donor_store.get_many(chunk)
-            except WorkerCrashedError:
-                if attempt == self.migration_retry_limit:
-                    raise
-                self._bump(migration_batches_retried=1)
-        raise AssertionError("unreachable")
-
     def _copy_chunk(self, recipient_store, pairs) -> bool:
         """Upsert one migration chunk; False means the recipient cannot
         take the bucket (exhausted/degraded) and the committed prefix
         has been rolled back."""
         self._bump(migration_batches=1)
-        for attempt in range(self.migration_retry_limit + 1):
-            try:
-                recipient_store.put_many(pairs)
-                return True
-            except WorkerCrashedError:
-                if attempt == self.migration_retry_limit:
-                    raise
-                self._bump(migration_batches_retried=1)
-                # The respawned worker's engine lost the deferral flag.
-                recipient_store.set_defer_retrain(True)
-            except (PoolExhaustedError, DegradedModeError) as exc:
-                committed = [
-                    report.key
-                    for report in getattr(exc, "committed_reports", [])
-                ]
-                if committed:
-                    self._undo_copies(recipient_store, committed)
-                return False
-        return False
-
-    def _undo_copies(self, recipient_store, keys: list[bytes]) -> None:
-        """Roll an aborted bucket's copies back off the recipient.  Best
-        effort: anything left behind is an unreferenced duplicate the
-        recovery sweep reconciles."""
-        remaining = list(keys)
-        for _attempt in range(self.migration_retry_limit + 1):
-            if not remaining:
-                return
-            try:
-                recipient_store.delete_many(remaining)
-                return
-            except WorkerCrashedError:
-                self._bump(migration_batches_retried=1)
-                remaining = [
-                    key for key in remaining if key in recipient_store
-                ]
-            except KeyNotFoundError as exc:
-                committed = {
-                    report.key
-                    for report in getattr(exc, "committed_reports", [])
-                }
-                rest = [key for key in remaining if key not in committed]
-                remaining = rest[1:]  # the failing key is already gone
+        try:
+            recipient_store.put_many(pairs)
+        except (PoolExhaustedError, DegradedModeError) as exc:
+            committed = [
+                report.key
+                for report in getattr(exc, "committed_reports", [])
+            ]
+            if committed:
+                self._delete_copies(recipient_store, committed)
+            return False
+        return True
 
     def _delete_from_donor(self, donor_store, keys: list[bytes]) -> None:
-        """Retire the donor's copies after the flip (retry-tolerant: a
-        crash replay may find some already deleted)."""
+        """Retire the donor's copies after the flip."""
         if not keys:
             return
         self._bump(migration_batches=1)
+        self._delete_copies(donor_store, keys)
+
+    @staticmethod
+    def _delete_copies(shard_store, keys: list[bytes]) -> None:
+        """Delete a migration's copies of ``keys`` from one shard (the
+        donor's after the flip, or an aborted bucket's off the
+        recipient), stepping over keys a crash replay already deleted:
+        each ``KeyNotFoundError`` drops the committed prefix and the
+        missing key, then the rest is deleted again.  A copy left
+        behind is an unreferenced duplicate the recovery sweep
+        reconciles."""
         remaining = list(keys)
-        for attempt in range(self.migration_retry_limit + 1):
-            if not remaining:
-                return
+        while remaining:
             try:
-                donor_store.delete_many(remaining)
+                shard_store.delete_many(remaining)
                 return
-            except WorkerCrashedError:
-                if attempt == self.migration_retry_limit:
-                    raise
-                self._bump(migration_batches_retried=1)
-                remaining = [key for key in remaining if key in donor_store]
             except KeyNotFoundError as exc:
                 committed = {
                     report.key
@@ -457,19 +408,6 @@ class Rebalancer:
     # -------------------------------------------------------------- #
     # helpers                                                         #
     # -------------------------------------------------------------- #
-
-    @contextlib.contextmanager
-    def _deferred_retrain(self, shard_store):
-        """Defer retrain checks on one shard for the block (works for
-        in-process stores and process clients alike)."""
-        shard_store.set_defer_retrain(True)
-        try:
-            yield
-        finally:
-            try:
-                shard_store.set_defer_retrain(False)
-            except WorkerCrashedError:  # pragma: no cover - respawn race
-                pass  # a respawned worker starts with the flag clear
 
     def _bump(self, **counts: int) -> None:
         store = self.store

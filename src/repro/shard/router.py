@@ -20,11 +20,9 @@ pre-table layout, and ``version == 0`` means "still the FNV default".
 
 The table is versioned: every bucket move bumps ``version``, which the
 ingestion layer checks at dispatch (a *routing epoch*) to re-route
-batches that were laned under an older table.  For process-executor
-stores the table and its version can be backed by a shared-memory
-region (:class:`~repro.nvm.shm.ZoneLayout` ``routing`` /
-``routing_meta``), so respawned workers and crash/recover cycles agree
-on ownership.
+batches that were laned under an older table.  The table lives in the
+router's DRAM and is not touched by ``crash()``, so ``recover()``
+sweeps against the migrated layout.
 
 The batch hash (:func:`hash_keys`) is vectorized: the normalized-key
 matrix is folded column by column with NumPy uint64 arithmetic (which
@@ -117,26 +115,10 @@ class RoutingTable:
     default table (``bucket % n_shards``) composes to the plain
     ``hash % n_shards`` routing, so a never-rebalanced store is
     bit-identical to the pre-table layout.
-
-    ``table``/``meta`` optionally back the entries with shared-memory
-    views (``meta`` is ``int64[4]``: version, n_shards, n_vbuckets,
-    reserved).  A fresh zero-filled segment is detected by
-    ``meta[1] == 0`` and initialized to the default layout; a reattached
-    segment is validated against the requested geometry and used as-is,
-    so every process mapping the segment agrees on ownership.
     """
 
-    #: int64 slots of the ``meta`` region: version, n_shards,
-    #: n_vbuckets, reserved.
-    META_SLOTS = 4
-
     def __init__(
-        self,
-        n_shards: int,
-        vbuckets_per_shard: int = ROUTER_VBUCKETS,
-        *,
-        table: np.ndarray | None = None,
-        meta: np.ndarray | None = None,
+        self, n_shards: int, vbuckets_per_shard: int = ROUTER_VBUCKETS
     ) -> None:
         if n_shards < 1:
             raise ValueError(f"n_shards must be >= 1, got {n_shards}")
@@ -144,39 +126,12 @@ class RoutingTable:
             raise ValueError(
                 f"vbuckets_per_shard must be >= 1, got {vbuckets_per_shard}"
             )
-        if (table is None) != (meta is None):
-            raise ValueError("table and meta must be provided together")
         self.n_shards = n_shards
         self.n_vbuckets = n_shards * vbuckets_per_shard
-        if table is None:
-            table = self._default_table()
-            meta = np.zeros(self.META_SLOTS, dtype=np.int64)
-            meta[1] = n_shards
-            meta[2] = self.n_vbuckets
-        else:
-            table = np.asarray(table)
-            meta = np.asarray(meta)
-            if table.shape != (self.n_vbuckets,):
-                raise ValueError(
-                    f"routing table has {table.shape[0]} slots; this store "
-                    f"needs {self.n_vbuckets}"
-                )
-            if int(meta[1]) == 0:
-                # Fresh zero-filled segment: install the default layout.
-                table[:] = self._default_table()
-                meta[0] = 0
-                meta[1] = n_shards
-                meta[2] = self.n_vbuckets
-            elif (
-                int(meta[1]) != n_shards or int(meta[2]) != self.n_vbuckets
-            ):
-                raise ValueError(
-                    f"persisted routing geometry ({int(meta[1])} shards x "
-                    f"{int(meta[2])} vbuckets) does not match this store "
-                    f"({n_shards} x {self.n_vbuckets})"
-                )
-        self._table = table
-        self._meta = meta
+        self._table = self._default_table()
+        #: Routing epoch: bumped on every bucket move.  ``0`` means the
+        #: table still holds the default (pure-FNV) layout.
+        self.version = 0
 
     def _default_table(self) -> np.ndarray:
         return (
@@ -187,12 +142,6 @@ class RoutingTable:
     # ------------------------------------------------------------------ #
     # lookups                                                             #
     # ------------------------------------------------------------------ #
-
-    @property
-    def version(self) -> int:
-        """Routing epoch: bumped on every bucket move.  ``0`` means the
-        table still holds the default (pure-FNV) layout."""
-        return int(self._meta[0])
 
     @property
     def is_default(self) -> bool:
@@ -235,12 +184,7 @@ class RoutingTable:
         if not 0 <= bucket < self.n_vbuckets:
             raise ValueError(f"virtual bucket {bucket} out of range")
         self._table[bucket] = shard_id
-        self._meta[0] += 1
-
-    def detach(self) -> None:
-        """Swap shared-memory views for private copies (pre-unlink)."""
-        self._table = self._table.copy()
-        self._meta = self._meta.copy()
+        self.version += 1
 
 
 @dataclasses.dataclass
@@ -255,8 +199,6 @@ class RouterStats(_Counters):
       completed bucket migrations.
     * ``migration_batches`` — engine-stage batches issued by migrations
       (copy and delete sides both count).
-    * ``migration_batches_retried`` — migration batches re-issued after
-      a worker-process crash.
     * ``rebalances`` — watermark-triggered rebalance passes that moved
       at least one bucket.
     * ``orphans_swept`` — keys found off their routed shard during
@@ -270,7 +212,6 @@ class RouterStats(_Counters):
     bucket_moves: int = 0
     keys_migrated: int = 0
     migration_batches: int = 0
-    migration_batches_retried: int = 0
     rebalances: int = 0
     orphans_swept: int = 0
 

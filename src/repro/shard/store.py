@@ -40,16 +40,6 @@ completion, then the lowest-shard error is re-raised (with
 Whole-store ``crash()`` / ``recover()`` delegate per shard; a torn
 shard loses only its own unflagged operations.
 
-Executors: the per-shard engines run either on a thread pool
-(``executor="thread"``, the default) or on one long-lived worker
-process per shard over shared-memory zones (``executor="process"``,
-:mod:`repro.shard.procpool`) — the GIL-free mode for real multi-core
-scaling.  Both executors sit behind the exact same
-``OperationReport`` API and produce byte-identical store state; the
-process mode additionally survives a worker process dying (the zone
-lives in shared memory; the worker is respawned and the standard
-recovery path replays it — see :class:`~repro.shard.procpool.ShardProcessClient`).
-
 Reentrancy and lock ordering: each shard's engine is guarded by its own
 lock, so K/V calls (single ops, ``*_many`` batches,
 ``run_shard_batches``, ``get``) may be issued from several threads
@@ -93,26 +83,19 @@ from typing import Any, Callable, Iterable
 import numpy as np
 
 from ..core.config import PNWConfig
-from ..core.store import OperationReport, PNWStore, RunOutcome, StoreMetrics
+from ..core.store import (
+    OperationReport,
+    PNWStore,
+    RunOutcome,
+    StoreMetrics,
+    execute_runs,
+)
 from ..engine.plan import check_unique
-from ..errors import (
-    DegradedModeError,
-    KeyNotFoundError,
-    PoolExhaustedError,
-    WorkerCrashedError,
-)
+from ..errors import DegradedModeError, KeyNotFoundError, PoolExhaustedError
 from ..index.base import KeyIndex, stable_hash64
-from ..nvm.shm import SharedZone, ZoneLayout
 from ..nvm.stats import MediaStats, WearStats
-from .procpool import ShardProcessClient
 from .rebalance import Rebalancer, RoutingLatch
-from .router import (
-    ROUTER_SEED,
-    ROUTER_VBUCKETS,
-    RouterStats,
-    RoutingTable,
-    hash_keys,
-)
+from .router import ROUTER_SEED, RouterStats, RoutingTable, hash_keys
 
 __all__ = ["ShardedPNWStore", "make_store", "shard_configs"]
 
@@ -145,9 +128,8 @@ def make_store(config: PNWConfig) -> "PNWStore | ShardedPNWStore | TieredStore":
     not ``"off"``.
 
     The drop-in entry point for drivers that take ``shards=N`` /
-    ``executor=...`` / ``tier_mode=...`` knobs — every setting comes
-    from ``config``, and all return types expose the same
-    ``OperationReport``-based API.
+    ``tier_mode=...`` knobs — every setting comes from ``config``, and
+    all return types expose the same ``OperationReport``-based API.
     """
     store: "PNWStore | ShardedPNWStore"
     if config.shards == 1:
@@ -167,7 +149,7 @@ class ShardedPNWStore:
     """N hash-partitioned :class:`PNWStore` zones behind one batch API.
 
     Every setting comes from ``config``: ``shards`` zones (see
-    :func:`shard_configs`), run on ``executor``, routed through a
+    :func:`shard_configs`), run on a thread pool, routed through a
     :data:`~repro.shard.router.ROUTER_VBUCKETS`-per-shard table, so
     ``store.config`` always describes the store.
     """
@@ -176,15 +158,7 @@ class ShardedPNWStore:
         self.config = config
         configs = shard_configs(config)
         self.n_shards = len(configs)
-        #: ``"thread"`` or ``"process"`` — ``config.executor``.
-        self.executor_kind = config.executor
-        if self.executor_kind == "process":
-            self.stores: list = [
-                ShardProcessClient(shard_id, shard_config)
-                for shard_id, shard_config in enumerate(configs)
-            ]
-        else:
-            self.stores = [PNWStore(shard_config) for shard_config in configs]
+        self.stores = [PNWStore(shard_config) for shard_config in configs]
         sizes = [shard_config.num_buckets for shard_config in configs]
         #: Global base address of each shard's zone (plus a total sentinel).
         self.shard_bases = np.concatenate(([0], np.cumsum(sizes)))
@@ -195,25 +169,7 @@ class ShardedPNWStore:
         self.rebalance_enabled = config.rebalance_mode != "off"
         self._stats_lock = threading.Lock()
         self._router_stats = RouterStats.for_shards(self.n_shards)
-        self._routing_zone: SharedZone | None = None
-        if self.rebalance_enabled and self.executor_kind == "process":
-            # The table must survive kill -9 worker respawns and stay
-            # authoritative across crash()/recover(), so it lives in its
-            # own small shared segment rather than parent DRAM.
-            self._routing_zone = SharedZone.create(
-                ZoneLayout(
-                    num_buckets=1,
-                    bucket_bytes=1,
-                    routing_slots=self.n_shards * ROUTER_VBUCKETS,
-                )
-            )
-            self._router = RoutingTable(
-                self.n_shards,
-                table=self._routing_zone.view("routing"),
-                meta=self._routing_zone.view("routing_meta"),
-            )
-        else:
-            self._router = RoutingTable(self.n_shards)
+        self._router = RoutingTable(self.n_shards)
         #: The routing latch: K/V paths read-pin the epoch, the
         #: rebalancer write-locks it before editing the table.
         self._epoch = RoutingLatch()
@@ -223,18 +179,12 @@ class ShardedPNWStore:
         # Size the pool to the CPUs this process can actually run on: on
         # a single-CPU host threads only add GIL churn, so sub-batches
         # run serially there (the per-shard probe-set reduction is the
-        # win that survives).  In process mode the pool threads just
-        # block on worker pipes (blocking recv releases the GIL), so one
-        # thread per shard is right regardless of local core count — the
-        # parallelism lives in the worker processes.
-        if self.executor_kind == "process":
-            workers = self.n_shards
-        else:
-            try:
-                cpus = len(os.sched_getaffinity(0))
-            except AttributeError:  # pragma: no cover - non-Linux
-                cpus = os.cpu_count() or 1
-            workers = min(self.n_shards, cpus)
+        # win that survives).
+        try:
+            cpus = len(os.sched_getaffinity(0))
+        except AttributeError:  # pragma: no cover - non-Linux
+            cpus = os.cpu_count() or 1
+        workers = min(self.n_shards, cpus)
         self._executor = (
             ThreadPoolExecutor(
                 max_workers=workers, thread_name_prefix="pnw-shard"
@@ -270,15 +220,12 @@ class ShardedPNWStore:
                 lock.release()
 
     def close(self) -> None:
-        """Drain in-flight batches, then shut the executors down.
+        """Drain in-flight batches, then shut the thread pool down.
 
-        First the shared thread pool is drained *without* holding any
-        shard lock (queued sub-batches still need to acquire them), then
-        the store quiesces and — in process mode — stops every worker
-        process and frees its shared zone.  A thread-mode store stays
-        usable after ``close()`` (calls simply run serially); a
-        process-mode store does not — its workers and zones are gone, so
-        later calls raise.  Idempotent.
+        The pool is drained *without* holding any shard lock (queued
+        sub-batches still need to acquire them), then the store
+        quiesces and closes every shard.  The store stays usable after
+        ``close()`` (calls simply run serially).  Idempotent.
         """
         if self._executor is not None:
             self._executor.shutdown(wait=True)
@@ -286,11 +233,6 @@ class ShardedPNWStore:
         with self._quiesced():
             for store in self.stores:
                 store.close()
-        if self._routing_zone is not None:
-            self._router.detach()
-            self._routing_zone.close()
-            self._routing_zone.unlink()
-            self._routing_zone = None
 
     def __enter__(self) -> "ShardedPNWStore":
         return self
@@ -525,18 +467,10 @@ class ShardedPNWStore:
             )
 
         def run_shard(shard_id: int, runs: list[tuple[str, list]]):
-            # One call per run *sequence* (one round-trip on a process
-            # shard): the shard executes the ordered runs and returns
-            # the per-run outcomes with shard-local addresses.  A
-            # worker death mid-sequence (the zone has already been
-            # recovered by the client) becomes one WorkerCrashedError
-            # outcome per run, so the drain path can retry them like
-            # any other failed run.
+            # The shard executes the ordered runs and returns the
+            # per-run outcomes with shard-local addresses.
             with self._shard_locks[shard_id]:
-                try:
-                    raw = self.stores[shard_id].run_shard_batches({0: runs})[0]
-                except WorkerCrashedError as exc:
-                    return [(None, exc) for _ in runs]
+                raw = execute_runs(self.stores[shard_id], runs)
             return [
                 globalize_outcome(shard_id, reports, exc)
                 for reports, exc in raw

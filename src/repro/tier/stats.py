@@ -41,9 +41,6 @@ class TierStats(_Counters):
 
     * ``flush_events`` — write-buffer drains through the batch path.
     * ``flushed`` — dirty entries written to NVM by those drains.
-    * ``flush_retries`` — flush batches re-submitted after a shard
-      worker process died mid-flush (the zone recovers, puts are
-      upserts, so the whole batch is safely re-put).
     * ``write_through`` — ops routed straight through to the store.
     * ``unflushed_lost`` — dirty entries dropped by :meth:`crash` before
       any flush made them durable; the tier's precisely-bounded data
@@ -65,7 +62,6 @@ class TierStats(_Counters):
     writeback_hits: int = 0
     flush_events: int = 0
     flushed: int = 0
-    flush_retries: int = 0
     write_through: int = 0
     unflushed_lost: int = 0
     predicted_short: int = 0

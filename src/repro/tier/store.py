@@ -52,9 +52,9 @@ Crash semantics — precise by construction:
   nothing.
 
 Composition: the tier wraps a single :class:`~repro.core.store.PNWStore`
-or a :class:`~repro.shard.ShardedPNWStore` under either executor — the
-write buffers are per shard, so flushes become per-shard sub-batches on
-the store's own thread pool or worker processes.  It also speaks the
+or a :class:`~repro.shard.ShardedPNWStore` — the write buffers are per
+shard, so flushes become per-shard sub-batches on the store's own
+thread pool.  It also speaks the
 ``run_shard_batches`` / ``shard_of_key`` / ``n_shards`` surface, so an
 :class:`~repro.ingest.IngestQueue` (and the asyncio front door above
 it) can drain through the tier unchanged.  Reports of DRAM-absorbed ops
@@ -64,7 +64,7 @@ at every moment because GETs consult the write buffer first.
 
 Thread safety: one reentrant lock serializes every tier entry point.
 Under it, flushes still fan out across shards inside the store (its
-per-shard locks and executors are untouched), so write-back mode
+per-shard locks and thread pool are untouched), so write-back mode
 *increases* effective batching rather than fighting the store's
 concurrency.
 """
@@ -81,11 +81,7 @@ from ..core.config import PNWConfig
 from ..core.reports import OperationReport
 from ..core.store import RunOutcome, execute_runs
 from ..engine.plan import check_unique, validate_values
-from ..errors import (
-    DegradedModeError,
-    KeyNotFoundError,
-    WorkerCrashedError,
-)
+from ..errors import DegradedModeError, KeyNotFoundError
 from ..index.base import KeyIndex
 from .cache import BufferCache
 from .classify import LongevityClassifier
@@ -102,7 +98,7 @@ class TieredStore:
     ----------
     store:
         A :class:`~repro.core.store.PNWStore` or
-        :class:`~repro.shard.ShardedPNWStore` (either executor).  The
+        :class:`~repro.shard.ShardedPNWStore`.  The
         tier becomes the store's only mutation driver; don't mutate the
         wrapped store directly while the tier is in use.
 
@@ -445,7 +441,7 @@ class TieredStore:
             return 0
         self._local.flush_events += 1
         try:
-            reports = self._flush_batch_retrying(batch)
+            reports = self.store.put_many(batch)
         except Exception as exc:
             committed = {
                 report.key
@@ -466,26 +462,6 @@ class TieredStore:
                     if entry.rewrites == 0:
                         self.classifier.observe(entry.value, short=False)
         return len(reports)
-
-    #: Worker crashes absorbed per flush before the error surfaces.
-    _flush_worker_retries = 3
-
-    def _flush_batch_retrying(self, batch) -> list[OperationReport]:
-        """``store.put_many`` with bounded retry over mid-flush worker
-        crashes.  A :class:`~repro.errors.WorkerCrashedError` means the
-        shard worker died and its zone already recovered; the batch's
-        flagged prefix survived as durable upserts, so re-putting the
-        whole batch converges on exactly the intended state.  Any other
-        error (pool exhaustion, degraded shed) propagates to the
-        restaging logic in :meth:`_flush_buffers`."""
-        for attempt in range(self._flush_worker_retries + 1):
-            try:
-                return self.store.put_many(batch)
-            except WorkerCrashedError:
-                if attempt == self._flush_worker_retries:
-                    raise
-                self._local.flush_retries += 1
-        raise AssertionError("unreachable")  # pragma: no cover
 
     def flush(self) -> int:
         """Drain every dirty entry to NVM now; returns entries written."""
@@ -559,7 +535,7 @@ class TieredStore:
         Known tradeoff: the tier lock serializes the admission layer's
         lanes here, so pure write-through / pass-through traffic no
         longer runs concurrently across shards (only the fan-out inside
-        each store call remains — notable on the process executor).
+        each store call remains).
         Write-back traffic loses little: its cost is DRAM staging, and
         the coalesced flushes still parallelize.  If write-through
         ingest throughput becomes the bottleneck, per-shard tier locks

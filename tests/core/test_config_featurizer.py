@@ -40,6 +40,7 @@ class TestConfig:
             {"num_buckets": 4, "value_bytes": 8, "load_factor": 0.0},
             {"num_buckets": 4, "value_bytes": 8, "load_factor": 1.5},
             {"num_buckets": 4, "value_bytes": 7},  # bucket not word aligned
+            {"num_buckets": 4, "value_bytes": 8, "executor": "fiber"},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
@@ -66,6 +67,10 @@ class TestConfig:
     def test_removed_knobs_rejected(self, name, old_default):
         with pytest.raises(TypeError):
             PNWConfig(num_buckets=4, value_bytes=8, **{name: old_default})
+
+    def test_process_executor_rejected_as_removed(self):
+        with pytest.raises(ConfigError, match="'process' was removed"):
+            PNWConfig(num_buckets=4, value_bytes=8, executor="process")
 
     def test_frozen(self):
         config = PNWConfig(num_buckets=4, value_bytes=8)

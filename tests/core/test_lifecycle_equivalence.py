@@ -9,16 +9,12 @@ per-address ``_is_valid`` loop, and the per-row ``peek`` index rebuild.
 
 from __future__ import annotations
 
-import gc
-
 import numpy as np
 import pytest
 
 from repro import PNWConfig, PNWStore
 from repro.core.model_manager import ModelManager
 from repro.index.dram_hash import DRAMHashIndex
-from repro.nvm import SharedZone
-from repro.shard.procpool import zone_layout_for
 from tests.conftest import clustered_values
 
 FEATURE_CONFIGS = {
@@ -132,30 +128,22 @@ class TestPoolFiling:
 
 
 class TestBitmapScan:
-    @pytest.mark.parametrize("shared", [False, True], ids=["private", "shared-zone"])
+    @pytest.mark.parametrize("persist_flags", [True, False],
+                             ids=["private", "dram-mirror"])
     @pytest.mark.parametrize("num_buckets", [1, 31, 32, 33, 100, 257])
-    def test_mask_equals_per_address_loop(self, num_buckets, shared):
-        config = make_config(num_buckets=num_buckets, n_clusters=1)
-        zone = SharedZone.create(zone_layout_for(config)) if shared else None
-        try:
-            store = PNWStore(config, zone=zone)
-            rng = np.random.default_rng(num_buckets)
-            for _round in range(3):
-                flags = rng.random(num_buckets) < 0.5
-                store._set_valid_many(np.flatnonzero(flags), True)
-                store._set_valid_many(np.flatnonzero(~flags), False)
-                loop = [store._is_valid(a) for a in range(num_buckets)]
-                mask = store._valid_mask()
-                assert mask.dtype == bool and mask.shape == (num_buckets,)
-                assert mask.tolist() == loop == flags.tolist()
-        finally:
-            if zone is not None:
-                # The store is a reference cycle holding views of the
-                # segment; collect it so the mapping can close.
-                store = mask = None
-                gc.collect()
-                zone.close()
-                zone.unlink()
+    def test_mask_equals_per_address_loop(self, num_buckets, persist_flags):
+        config = make_config(num_buckets=num_buckets, n_clusters=1,
+                             persist_flags=persist_flags)
+        store = PNWStore(config)
+        rng = np.random.default_rng(num_buckets)
+        for _round in range(3):
+            flags = rng.random(num_buckets) < 0.5
+            store._set_valid_many(np.flatnonzero(flags), True)
+            store._set_valid_many(np.flatnonzero(~flags), False)
+            loop = [store._is_valid(a) for a in range(num_buckets)]
+            mask = store._valid_mask()
+            assert mask.dtype == bool and mask.shape == (num_buckets,)
+            assert mask.tolist() == loop == flags.tolist()
 
     def test_dram_flags_are_read_from_the_mirror(self):
         store = PNWStore(make_config(num_buckets=40, persist_flags=False))

@@ -6,6 +6,11 @@ orders a chunk's data writes *before* its flag-bit persistence, so a
 crash inside ``put_many`` can only lose whole not-yet-flagged
 operations — recovery always lands on a consistent prefix, never on a
 bucket whose flag is set but whose data never arrived.
+
+``TestMidBatchCrash`` also tears every mutation kind mid-write: the
+power fails after ``N`` rows of the next device write (N = 0, 1, half,
+all but the last), then ``crash()`` + ``recover()``.  Every key must come back with its
+last acknowledged value or the in-flight one, and never go missing.
 """
 
 from __future__ import annotations
@@ -93,7 +98,124 @@ class TestRecoveryAfterBatchPuts:
             assert store.get(key) == value
 
 
+#: Rows of the torn write that land before the power fails.
+TEAR_POINTS = {
+    "0": lambda n: 0,
+    "1": lambda n: min(1, n),
+    "half": lambda n: n // 2,
+    "last": lambda n: max(n - 1, 0),
+}
+
+#: The mutation under test; deletes tear the flag bitmap (they write no
+#: data rows), every other kind tears the data zone.  ``upsert_many`` is
+#: ``put_many`` over present keys — a tier flush — which runs as updates.
+#: The single-op kinds take the device's one-row ``write``.
+TORN_OPS = [
+    "put_many", "upsert_many", "update_many", "delete_many",
+    "put", "update", "delete",
+]
+
+#: ROADMAP item 1: an endurance UPDATE clears the old rows' flags before
+#: it writes the new rows, so a tear anywhere in that write loses the key.
+ENDURANCE_UPDATE_HOLE = pytest.mark.xfail(
+    strict=True, reason="ROADMAP item 1: torn endurance update loses keys"
+)
+UPDATING_OPS = ("upsert_many", "update_many", "update")
+
+
+def tear_next_write(monkeypatch, device: SimulatedNVM, rows_landed) -> None:
+    """Power fails inside the next ``write``/``write_many`` on ``device``:
+    the first ``rows_landed(n)`` of its ``n`` rows land, then it raises.
+    Rows are atomic; nothing after the failure point reaches NVM."""
+    write, write_many = device.write, device.write_many
+
+    def torn_write_many(addresses, rows, scheme=None):
+        landed = rows_landed(len(addresses))
+        write_many(addresses[:landed], rows[:landed], scheme)
+        raise RuntimeError("simulated power failure mid-write")
+
+    def torn_write(address, row, scheme=None):
+        if rows_landed(1):
+            write(address, row, scheme)
+        raise RuntimeError("simulated power failure mid-write")
+
+    monkeypatch.setattr(device, "write_many", torn_write_many)
+    monkeypatch.setattr(device, "write", torn_write)
+
+
+def torn_cases():
+    for mode in ("endurance", "latency"):
+        for op in TORN_OPS:
+            for point in TEAR_POINTS:
+                marks = (
+                    [ENDURANCE_UPDATE_HOLE]
+                    if mode == "endurance" and op in UPDATING_OPS
+                    else []
+                )
+                yield pytest.param(mode, op, point, marks=marks,
+                                   id=f"{mode}-{op}-{point}")
+
+
 class TestMidBatchCrash:
+    @pytest.mark.parametrize("update_mode, op, point", torn_cases())
+    def test_torn_write_keeps_acked_or_inflight_value(
+        self, monkeypatch, update_mode, op, point
+    ):
+        store = make_store(update_mode=update_mode)
+        rng = np.random.default_rng(11)
+        acked = dict(batch_of(rng, 16, prefix="live"))
+        bystanders = dict(batch_of(rng, 8, prefix="still"))
+        store.put_many(list(acked.items()) + list(bystanders.items()))
+        # Per key: (last acknowledged value, in-flight value); None is
+        # "absent".
+        expect = {key: (value, value) for key, value in bystanders.items()}
+        fresh = clustered_values(rng, 16, 24, flip_rate=0.1)
+        device = store.flags_nvm if op.startswith("delete") else store.nvm
+        tear_next_write(monkeypatch, device, TEAR_POINTS[point])
+        with pytest.raises(RuntimeError, match="power failure"):
+            if op == "put_many":
+                pairs = [(b"new%d" % i, fresh[i].tobytes()) for i in range(16)]
+                expect.update((key, (None, value)) for key, value in pairs)
+                expect.update((key, (v, v)) for key, v in acked.items())
+                store.put_many(pairs)
+            elif op in ("upsert_many", "update_many"):
+                pairs = [(key, fresh[i].tobytes())
+                         for i, key in enumerate(acked)]
+                expect.update((key, (acked[key], value)) for key, value in pairs)
+                if op == "upsert_many":
+                    store.put_many(pairs)
+                else:
+                    store.update_many(pairs)
+            elif op == "delete_many":
+                expect.update((key, (value, None)) for key, value in acked.items())
+                store.delete_many(list(acked))
+            elif op == "put":
+                key, value = b"new0", fresh[0].tobytes()
+                expect.update((k, (v, v)) for k, v in acked.items())
+                expect[key] = (None, value)
+                store.put(key, value)
+            elif op == "delete":
+                key = next(iter(acked))
+                expect.update((k, (v, v)) for k, v in acked.items())
+                expect[key] = (acked[key], None)
+                store.delete(key)
+            else:
+                key = next(iter(acked))
+                expect.update((k, (v, v)) for k, v in acked.items())
+                expect[key] = (acked[key], fresh[0].tobytes())
+                store.update(key, fresh[0].tobytes())
+        monkeypatch.undo()
+
+        store.crash()
+        store.recover()
+        present = 0
+        for key, allowed in expect.items():
+            found = store.get(key) if key in store else None
+            assert found in allowed, f"{key!r}: {found!r} not in {allowed!r}"
+            present += found is not None
+        # One flagged row per live key: a key never comes back twice.
+        assert len(store) == present
+
     def test_interrupted_batch_loses_only_the_torn_chunk(self, monkeypatch):
         """A crash during the multi-row flush leaves no flags set for the
         chunk, so recovery resurrects none of its keys."""

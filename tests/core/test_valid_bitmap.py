@@ -11,19 +11,15 @@ touched word per call, same cells, same order).
 
 from __future__ import annotations
 
-import gc
-
 import numpy as np
 import pytest
 
 from repro import PNWConfig, PNWStore
 from repro.core.store import _VECTOR_FLAGS_MIN
-from repro.nvm import SharedZone
-from repro.shard.procpool import zone_layout_for
 
 ZONES = [1, 31, 32, 33, 100, 257, 4096]
 SIZES = [1, 3, 4, 5, 32, 200]
-BACKINGS = ["private", "shared-zone", "dram-mirror"]
+BACKINGS = ["private", "dram-mirror"]
 
 
 def word_loop_set_valid_many(store: PNWStore, addresses, valid: bool) -> None:
@@ -48,37 +44,21 @@ def word_loop_set_valid_many(store: PNWStore, addresses, valid: bool) -> None:
 
 class StorePair:
     """Two empty stores on one config: ``subject`` takes the real calls,
-    ``oracle`` the word loop.  Shared-zone pairs own two segments."""
+    ``oracle`` the word loop."""
 
     def __init__(self, num_buckets: int, backing: str) -> None:
         config = PNWConfig(
             num_buckets=num_buckets, value_bytes=24, key_bytes=8,
             n_clusters=1, seed=7, persist_flags=backing != "dram-mirror",
         )
-        self.zones = (
-            [SharedZone.create(zone_layout_for(config)) for _ in range(2)]
-            if backing == "shared-zone" else [None, None]
-        )
-        self.subject = PNWStore(config, zone=self.zones[0])
-        self.oracle = PNWStore(config, zone=self.zones[1])
-
-    def close(self) -> None:
-        # Each store is a reference cycle holding views of its segment;
-        # collect them so the mappings can close.
-        self.subject = self.oracle = None
-        gc.collect()
-        for zone in self.zones:
-            if zone is not None:
-                zone.close()
-                zone.unlink()
+        self.subject = PNWStore(config)
+        self.oracle = PNWStore(config)
 
 
 @pytest.fixture
 def pair(request):
     num_buckets, backing = request.param
-    stores = StorePair(num_buckets, backing)
-    yield stores
-    stores.close()
+    return StorePair(num_buckets, backing)
 
 
 def address_sets(num_buckets: int, sizes: list[int]):

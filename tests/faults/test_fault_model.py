@@ -4,8 +4,7 @@ The fault model is the root of the media-robustness story, so its
 semantics are pinned directly:
 
 * same ``(geometry, rate, budget, seed)`` ⇒ same weakened-cell map and
-  the same stuck mask after the same write history (process workers
-  rely on this to reconstruct the media after a respawn);
+  the same stuck mask after the same write history;
 * a stuck cell freezes at its *current* value — writes through it lose
   the new bit but never corrupt the data at rest;
 * ``filter_many`` is byte-identical to looping ``filter``;
@@ -105,17 +104,6 @@ class TestStuckAtCurrent:
             np.unpackbits(second) * held, np.unpackbits(first) * held
         )
 
-    def test_external_stuck_mask_is_honoured(self):
-        stuck = np.zeros((ROWS, COLS), dtype=np.uint8)
-        stuck[3, 0] = 0xFF
-        model = make_model(stuck=stuck)
-        old = np.zeros(COLS, dtype=np.uint8)
-        new = np.full(COLS, 0xFF, dtype=np.uint8)
-        actual = model.filter(3, old, new.copy())
-        assert actual[0] == 0  # all eight bits frozen at old value
-        # Pre-stuck cells were removed from the pending population.
-        assert model.pending_cells < model.n_faulty
-
 
 class TestFilterManyEquivalence:
     def test_batch_matches_sequential(self):
@@ -167,5 +155,3 @@ class TestValidation:
             make_model(fault_rate=1.0)
         with pytest.raises(ValueError, match="fault_budget"):
             make_model(fault_budget=-1)
-        with pytest.raises(ValueError, match="stuck mask"):
-            make_model(stuck=np.zeros((2, 2), dtype=np.uint8))

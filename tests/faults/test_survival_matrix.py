@@ -2,19 +2,14 @@
 
 Under a 1% depleted-budget fault injection, **every acknowledged
 put/update must remain readable with the exact acknowledged bytes** —
-across the thread and process executors, with and without the DRAM
-tier (write-through and write-back), and across a crash/recover cycle.
+on the single zone and on thread shards, in both update modes, with
+and without the DRAM tier (write-through and write-back), and across a
+crash/recover cycle.
 
-Also pins the distributed corners: sharded degraded-mode merging, and
-retirement state surviving a ``kill -9`` of a process worker (the
-bitmap lives in the shared zone; the respawned worker re-blocks it).
+Also pins the distributed corner: sharded degraded-mode merging.
 """
 
 from __future__ import annotations
-
-import os
-import signal
-import time
 
 import numpy as np
 import pytest
@@ -23,7 +18,9 @@ from repro import PNWConfig, make_store
 from repro.errors import DegradedModeError
 from tests.conftest import clustered_values
 
-BACKENDS = ["single", "threads", "processes"]
+#: Single zone or thread shards; ``-latency`` runs every update in the
+#: latency update mode (in place through the index, no re-placement).
+BACKENDS = ["single", "threads", "single-latency", "threads-latency"]
 
 
 def media_config(backend: str, **overrides) -> PNWConfig:
@@ -39,9 +36,10 @@ def media_config(backend: str, **overrides) -> PNWConfig:
         media_fault_budget=0,
         media_retire_watermark=1.0,
     )
-    if backend != "single":
-        base.update(shards=3,
-                    executor="thread" if backend == "threads" else "process")
+    if backend.startswith("threads"):
+        base.update(shards=3)
+    if backend.endswith("-latency"):
+        base.update(update_mode="latency")
     base.update(overrides)
     return PNWConfig(**base)
 
@@ -90,14 +88,6 @@ def acked_value(pairs: list[tuple[bytes, bytes]], key: bytes) -> bytes:
     return {k.ljust(width, b"\x00"): v for k, v in pairs}[key]
 
 
-def wait_for(predicate, timeout: float = 5.0) -> None:
-    deadline = time.monotonic() + timeout
-    while not predicate():
-        if time.monotonic() > deadline:
-            raise AssertionError("timed out waiting for condition")
-        time.sleep(0.01)
-
-
 @pytest.mark.parametrize("backend", BACKENDS)
 class TestSurvivalAcrossExecutors:
     def test_acked_ops_readable_and_crash_safe(self, backend):
@@ -124,12 +114,11 @@ class TestSurvivalAcrossExecutors:
         store = warmed(config)
         try:
             expected = drive(store)
-            if backend == "single":
+            if backend.startswith("single"):
                 store.nvm.age_media()
             else:
-                for shard in getattr(store, "stores", []):
-                    if hasattr(shard, "nvm") and hasattr(shard.nvm, "age_media"):
-                        shard.nvm.age_media()
+                for shard in store.stores:
+                    shard.nvm.age_media()
             totals = store.scrub()
             assert totals["scanned"] > 0
             assert_contents(store, expected)
@@ -137,7 +126,7 @@ class TestSurvivalAcrossExecutors:
             store.close()
 
 
-@pytest.mark.parametrize("backend", ["single", "processes"])
+@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("tier_mode", ["write_through", "write_back"])
 class TestSurvivalUnderTheTier:
     def test_tiered_acked_ops_survive_faults_and_crash(self, backend, tier_mode):
@@ -187,41 +176,5 @@ class TestShardedDegradedMerge:
             # Reads still serve everything that was acknowledged.
             for key, value in acked.items():
                 assert store.get(key) == value
-        finally:
-            store.close()
-
-
-class TestRetirementSurvivesWorkerDeath:
-    def test_zone_bitmap_outlives_the_worker(self):
-        store = warmed(media_config("processes", media_retire_watermark=0.03))
-        try:
-            rng = np.random.default_rng(16)
-            acked: dict[bytes, bytes] = {}
-            for round_no in range(300):
-                pairs = hostile_pairs(rng, 6, prefix=f"w{round_no}-")
-                try:
-                    store.put_many(pairs)
-                except DegradedModeError as exc:
-                    for report in exc.committed_reports:
-                        acked[report.key] = acked_value(pairs, report.key)
-                    break
-                acked.update(pairs)
-            assert store.degraded
-            retired_before = store.media_stats.rows_retired
-            assert retired_before > 0
-            # kill -9 every worker: DRAM state (budgets, counters) dies,
-            # the retirement bitmap and stuck mask live in the zone.
-            victims = list(store.stores)
-            for client in victims:
-                os.kill(client.pid, signal.SIGKILL)
-            for client in victims:
-                wait_for(lambda c=client: not c.is_alive())
-            # Respawned workers reconstruct from the zone: still
-            # degraded (bitmap persisted), still serving every ack.
-            assert store.degraded
-            for key, value in acked.items():
-                assert store.get(key) == value
-            with pytest.raises(DegradedModeError):
-                store.put_many(hostile_pairs(rng, 3, prefix="late"))
         finally:
             store.close()

@@ -1,17 +1,17 @@
 """Live shard rebalancing: the move planner, watermark-triggered migration,
-mid-migration crash semantics, routing-epoch re-lane in the ingest
-layer, and process-executor survival (worker kill + kill -9 respawn
-agreement via the shared-memory routing table)."""
+mid-migration crash semantics, and routing-epoch re-lane in the ingest
+layer."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro import IngestQueue, PNWConfig, ShardedPNWStore
+from repro import IngestQueue, PNWConfig, PNWStore, ShardedPNWStore
 from repro.index.base import KeyIndex, stable_hash64
 from repro.shard import ROUTER_SEED, shard_of
 from repro.shard.rebalance import (
+    Rebalancer,
     RoutingLatch,
     SimulatedRebalanceCrash,
     greedy_moves,
@@ -205,6 +205,22 @@ def test_rebalanced_store_survives_crash_recover():
 # mid-migration crash semantics                                           #
 # ---------------------------------------------------------------------- #
 
+def test_migration_delete_steps_over_keys_already_gone():
+    """A donor delete replayed after a crash (or a rollback) may find
+    some copies already deleted; every remaining copy still goes."""
+    config = make_config(shards=1, rebalance_mode="off")
+    shard = PNWStore(config)
+    shard.warm_up(clustered_values(np.random.default_rng(42),
+                                   config.num_buckets, config.value_bytes))
+    pairs = hot_pairs(config, 6)
+    shard.put_many(pairs)
+    keys = [key for key, _ in pairs]
+    shard.delete_many([keys[1], keys[4]])
+    Rebalancer._delete_copies(shard, keys)
+    assert len(shard) == 0
+    assert not any(key in shard for key in keys)
+
+
 @pytest.mark.parametrize("crash_point", ["copy", "flip"])
 def test_crash_mid_migration_loses_no_keys(crash_point):
     store = warmed(make_config())
@@ -302,33 +318,3 @@ def test_ingest_relanes_after_epoch_change():
         assert key in store.stores[3]
         assert store.get(key) == padded(value, config)
     queue.close()
-
-
-# ---------------------------------------------------------------------- #
-# process executor                                                        #
-# ---------------------------------------------------------------------- #
-
-def test_process_rebalance_worker_kill_and_respawn_agreement():
-    store = warmed(make_config(executor="process"))
-    try:
-        pairs = fill_hot(store)
-        # Kill a recipient worker at its next flush: the migration's
-        # copy batch dies mid-commit (one row written, none flagged),
-        # the client respawns the worker over the surviving shared
-        # zone, and the migration retries to completion.  Shard 1 is
-        # the least-loaded shard, so it receives the first bucket.
-        store.stores[1].sabotage_next_flush(1)
-        assert store.rebalance_check(1_000) is True
-        stats = store.router_stats()
-        assert stats.bucket_moves > 0
-        assert stats.migration_batches_retried >= 1
-        assert_oracle(store, pairs)
-        # crash()/recover() and respawned workers agree on ownership:
-        # the routing table lives in shared memory, so a full
-        # power-fail cycle recovers against the *migrated* layout.
-        store.crash()
-        store.recover()
-        assert store.router_stats().orphans_swept == 0
-        assert_oracle(store, pairs)
-    finally:
-        store.close()

@@ -1,6 +1,6 @@
 """Virtual-bucket routing: vectorized hash equivalence, the indirection
-table's default-layout identity, shared-memory persistence, and the
-mergeable RouterStats counters."""
+table's default-layout identity, and the mergeable RouterStats
+counters."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ import pytest
 
 from repro import PNWConfig
 from repro.index.base import KeyIndex, stable_hash64
-from repro.nvm.shm import SharedZone, ZoneLayout
 from repro.shard import ShardedPNWStore, assign_shards, hash_keys, shard_of
 from repro.shard.router import ROUTER_SEED, RouterStats, RoutingTable
 
@@ -86,43 +85,6 @@ def test_buckets_of_shard_and_snapshot_isolation():
     table.move(0, 1)
     assert snapshot[0] == 0  # the snapshot is a private copy
     assert 0 in table.buckets_of_shard(1).tolist()
-
-
-def test_shared_memory_table_round_trip():
-    layout = ZoneLayout(num_buckets=1, bucket_bytes=1, routing_slots=8)
-    zone = SharedZone.create(layout)
-    try:
-        table = RoutingTable(
-            2, 4, table=zone.view("routing"), meta=zone.view("routing_meta")
-        )
-        assert table.is_default  # fresh zero-filled segment initialized
-        table.move(3, 0)
-        # A second attachment (same segment) sees the edited layout.
-        peer = SharedZone.attach(layout, zone.name)
-        try:
-            mirrored = RoutingTable(
-                2,
-                4,
-                table=peer.view("routing"),
-                meta=peer.view("routing_meta"),
-            )
-            assert mirrored.version == 1
-            assert mirrored.shard_of_bucket(3) == 0
-            # Geometry mismatch against persisted state must refuse.
-            with pytest.raises(ValueError):
-                RoutingTable(
-                    4,
-                    2,
-                    table=peer.view("routing"),
-                    meta=peer.view("routing_meta"),
-                )
-            mirrored.detach()
-        finally:
-            peer.close()
-        table.detach()
-    finally:
-        zone.close()
-        zone.unlink()
 
 
 # ---------------------------------------------------------------------- #

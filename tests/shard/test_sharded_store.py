@@ -3,6 +3,9 @@ shard-by-shard equivalence to manually driven single stores."""
 
 from __future__ import annotations
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -72,6 +75,14 @@ class TestShardConfigs:
             make_config(num_buckets=4, shards=5)
         with pytest.raises(ConfigError, match="exceeds num_buckets"):
             make_config(num_buckets=4, shards=8)
+
+    def test_shards_are_in_process_leaf_stores(self):
+        config = make_config()
+        assert config.executor == "thread"
+        store = ShardedPNWStore(config)
+        assert [type(shard) for shard in store.stores] == [PNWStore] * 3
+        assert [shard.config for shard in store.stores] == shard_configs(config)
+        store.close()
 
     def test_factory_dispatches_on_config(self):
         assert isinstance(make_store(make_config(shards=1)), PNWStore)
@@ -304,23 +315,33 @@ class TestEquivalenceToManualStores:
             assert len(shard) == len(manual)
             assert shard.nvm.stats.summary() == manual.nvm.stats.summary()
 
-    def test_randomized_op_stream_matches(self):
-        config = make_config(num_buckets=130, shards=3)
+    @classmethod
+    def warmed_twins(
+        cls, config: PNWConfig
+    ) -> tuple[ShardedPNWStore, list[PNWStore]]:
+        """A sharded store and its manual shards, warmed on one zone's
+        worth of old contents split at the shard bases."""
         store = ShardedPNWStore(config)
-        manuals = self.manual_stores(config)
-
+        manuals = cls.manual_stores(config)
         rng = np.random.default_rng(42)
         old = clustered_values(rng, config.num_buckets, config.value_bytes)
         store.warm_up(old)
         for i, manual in enumerate(manuals):
             manual.warm_up(old[store.shard_bases[i] : store.shard_bases[i + 1]])
+        return store, manuals
 
+    @staticmethod
+    def drive_stream(store: ShardedPNWStore, manuals: list[PNWStore],
+                     rounds: int = 6) -> list[bytes]:
+        """Random put/update/delete batches, each applied to the sharded
+        store and, routed, to the manual shards; returns the live keys."""
+        value_bytes = store.config.value_bytes
         op_rng = np.random.default_rng(1234)
         live: list[bytes] = []
         next_id = 0
-        for _ in range(6):
+        for _ in range(rounds):
             n_put = int(op_rng.integers(5, 25))
-            values = clustered_values(op_rng, n_put, config.value_bytes,
+            values = clustered_values(op_rng, n_put, value_bytes,
                                       flip_rate=0.05)
             pairs = []
             for j in range(n_put):
@@ -335,7 +356,7 @@ class TestEquivalenceToManualStores:
             if len(live) > 8:
                 n_upd = int(op_rng.integers(1, 8))
                 picks = op_rng.choice(len(live), size=n_upd, replace=False)
-                new_vals = clustered_values(op_rng, n_upd, config.value_bytes,
+                new_vals = clustered_values(op_rng, n_upd, value_bytes,
                                             flip_rate=0.1)
                 updates = [
                     (live[p], new_vals[j].tobytes())
@@ -354,11 +375,90 @@ class TestEquivalenceToManualStores:
                 ):
                     if sub:
                         manuals[sid].delete_many(sub)
+        return live
 
-        self.assert_state_identical(store, manuals)
-        for key in live:
+    @staticmethod
+    def assert_reads_identical(store: ShardedPNWStore,
+                               manuals: list[PNWStore], keys) -> None:
+        for key in keys:
             sid = store.shard_of_key(key)
             assert store.get(key) == manuals[sid].get(key)
+
+    def test_randomized_op_stream_matches(self):
+        config = make_config(num_buckets=130, shards=3)
+        store, manuals = self.warmed_twins(config)
+        live = self.drive_stream(store, manuals)
+        self.assert_state_identical(store, manuals)
+        self.assert_reads_identical(store, manuals, live)
+        store.close()
+
+    @pytest.mark.parametrize("shards", [1, 2, 4])
+    @pytest.mark.parametrize("update_mode", ["endurance", "latency"])
+    def test_op_stream_matches_in_both_update_modes(self, update_mode, shards):
+        config = make_config(num_buckets=256, shards=shards,
+                             update_mode=update_mode)
+        store, manuals = self.warmed_twins(config)
+        live = self.drive_stream(store, manuals)
+        self.assert_state_identical(store, manuals)
+        self.assert_reads_identical(store, manuals, live)
+        store.close()
+
+    @pytest.mark.parametrize("update_mode", ["endurance", "latency"])
+    def test_crash_recover_matches(self, update_mode):
+        """Every shard recovers from its own zone exactly as a manual
+        store does, and the two keep agreeing after recovery."""
+        config = make_config(num_buckets=256, shards=3, update_mode=update_mode)
+        store, manuals = self.warmed_twins(config)
+        live = self.drive_stream(store, manuals)
+        store.crash()
+        for manual in manuals:
+            manual.crash()
+        assert len(store) == 0
+        store.recover()
+        for manual in manuals:
+            manual.recover()
+        self.assert_state_identical(store, manuals)
+        self.assert_reads_identical(store, manuals, live)
+        pairs = batch_of(np.random.default_rng(17), 20, prefix="post")
+        store.put_many(pairs)
+        for sid, sub in enumerate(routed(store, pairs)):
+            if sub:
+                manuals[sid].put_many(sub)
+        self.assert_state_identical(store, manuals)
+        store.close()
+
+    def test_run_shard_batches_matches(self):
+        """The ingest drain path runs each shard's runs in order on that
+        shard's engine: the same state as the manual shards replaying
+        the runs through their ``*_many`` calls, and reports that differ
+        only by the shard's base address."""
+        config = make_config(num_buckets=256, shards=3)
+        store, manuals = self.warmed_twins(config)
+        pairs = batch_of(np.random.default_rng(19), 45)
+        fresh = batch_of(np.random.default_rng(20), 45)
+        updates = [(pairs[i][0], fresh[i][1]) for i in range(0, 45, 3)]
+        doomed = [key for key, _ in pairs[1::4]]
+        batches = {}
+        for sid in range(store.n_shards):
+            batches[sid] = [
+                ("put", routed(store, pairs)[sid]),
+                ("update", routed(store, updates)[sid]),
+                ("delete", routed(store, doomed, key_of=lambda k: k)[sid]),
+            ]
+        outcomes = store.run_shard_batches(batches)
+        assert sorted(outcomes) == list(range(store.n_shards))
+        for sid, runs in batches.items():
+            assert len(outcomes[sid]) == len(runs)
+            for (kind, items), (reports, error) in zip(runs, outcomes[sid]):
+                assert error is None
+                manual_reports = getattr(manuals[sid], f"{kind}_many")(items)
+                assert [r.address for r in reports] == [
+                    r.address + store.shard_bases[sid] for r in manual_reports
+                ]
+        self.assert_state_identical(store, manuals)
+        self.assert_reads_identical(
+            store, manuals, [key for key, _ in pairs if key not in doomed]
+        )
         store.close()
 
     def test_sharded_wear_totals_match_manual_sum(self):
@@ -383,3 +483,107 @@ class TestEquivalenceToManualStores:
             m.nvm.stats.total_bit_updates for m in manuals
         )
         store.close()
+
+
+class TestLifecycle:
+    """Lifecycle calls count each op once and wait out in-flight
+    batch traffic (every shard lock, ascending)."""
+
+    def test_no_double_count_across_crash_recover(self):
+        # Merged wear and op counters must count each op exactly once,
+        # even after every shard is torn down and rebuilt from NVM state:
+        # recovery re-reads the zones but never re-records their writes.
+        store = warmed(make_config(num_buckets=130))
+        pairs = batch_of(np.random.default_rng(91), 40)
+        store.put_many(pairs)
+        store.delete_many([key for key, _ in pairs[30:]])
+        wear_before = store.wear_summary()
+        metrics_before = store.metrics
+        store.crash()
+        store.recover()
+        wear_after = store.wear_summary()
+        assert wear_after["writes"] == wear_before["writes"]
+        assert wear_after["bit_updates"] == wear_before["bit_updates"]
+        metrics_after = store.metrics
+        assert metrics_after.puts == metrics_before.puts
+        assert metrics_after.deletes == metrics_before.deletes
+        store.close()
+
+    def test_crash_waits_for_inflight_batch(self):
+        store = warmed(make_config(num_buckets=130))
+        pairs = batch_of(np.random.default_rng(101), 24)
+        busy_sid = store.shard_of_key(pairs[0][0])
+        started = threading.Event()
+        release = threading.Event()
+
+        # Stall the shard by holding its lock, exactly as an in-flight
+        # K/V sub-batch does.
+        def inflight():
+            with store._shard_locks[busy_sid]:
+                started.set()
+                assert release.wait(timeout=10)
+
+        worker = threading.Thread(target=inflight)
+        worker.start()
+        assert started.wait(timeout=5)
+        crash_done = threading.Event()
+
+        def crasher():
+            store.crash()
+            crash_done.set()
+
+        crash_thread = threading.Thread(target=crasher)
+        crash_thread.start()
+        time.sleep(0.05)
+        # crash() is quiesced: it cannot land while shard traffic is in
+        # flight.
+        assert not crash_done.is_set()
+        release.set()
+        worker.join(timeout=5)
+        crash_thread.join(timeout=5)
+        assert crash_done.is_set()
+        store.recover()
+        store.put_many(pairs)
+        assert len(store) == len(pairs)
+        store.close()
+
+    def test_close_is_idempotent_and_the_store_stays_usable(self):
+        store = warmed(make_config())
+        pairs = batch_of(np.random.default_rng(103), 12)
+        store.put_many(pairs[:6])
+        store.close()
+        store.close()
+        # After close() calls simply run serially on the caller's thread.
+        store.put_many(pairs[6:])
+        for key, value in pairs:
+            assert store.get(key) == value
+        store.close()
+
+    def test_aggregation_readable_after_close(self):
+        store = warmed(make_config())
+        pairs = batch_of(np.random.default_rng(104), 30)
+        store.put_many(pairs)
+        store.delete_many([key for key, _ in pairs[:5]])
+        wear, metrics = store.wear_summary(), store.metrics
+        routed_ops = store.router_stats().routed_ops
+        store.close()
+        assert store.wear_summary() == wear
+        assert store.metrics.puts == metrics.puts == 30
+        assert store.metrics.deletes == metrics.deletes == 5
+        assert store.router_stats().routed_ops == routed_ops
+        assert len(store) == 25
+        assert store.live_fraction == pytest.approx(25 / 192)
+
+    def test_close_drains_queued_batches_first(self):
+        store = warmed(make_config(num_buckets=130))
+        pairs = batch_of(np.random.default_rng(102), 30)
+        results: list = []
+
+        def producer():
+            results.append(store.put_many(pairs))
+
+        producer_thread = threading.Thread(target=producer)
+        producer_thread.start()
+        producer_thread.join(timeout=10)
+        store.close()
+        assert len(results) == 1 and len(results[0]) == len(pairs)

@@ -2,8 +2,8 @@
 
 The leaf ``PNWStore`` answers the one-lane form of the store surface;
 the shard router and the DRAM tier override or delegate it.  These
-tests pin, over the five compositions (leaf; sharded x thread; sharded
-x process; tier over leaf; tier over sharded), that
+tests pin, over the four compositions (leaf; sharded; tier over leaf;
+tier over sharded), that
 
 * every surface member exists with the same *kind* (method vs plain
   attribute/property) and the same return type, so no caller ever needs
@@ -38,9 +38,7 @@ from repro.shard import shard_configs
 from repro.shard.router import RouterStats
 from tests.conftest import clustered_values
 
-COMPOSITIONS = [
-    "leaf", "sharded-thread", "sharded-process", "tier-leaf", "tier-sharded",
-]
+COMPOSITIONS = ["leaf", "sharded-thread", "tier-leaf", "tier-sharded"]
 
 METHODS = (
     "put", "put_unique", "put_many", "update", "update_many", "delete",
@@ -70,11 +68,7 @@ def make_config(shards: int) -> PNWConfig:
 
 def build(composition: str):
     """A warmed store of the named composition (2 shards when sharded)."""
-    if composition.endswith("leaf"):
-        config = make_config(1)
-    else:
-        executor = "process" if composition.endswith("process") else "thread"
-        config = dataclasses.replace(make_config(2), executor=executor)
+    config = make_config(1 if composition.endswith("leaf") else 2)
     if composition.startswith("tier"):
         config = dataclasses.replace(
             config, tier_mode="write_back", tier_writeback_entries=16
@@ -228,6 +222,7 @@ def test_constructor_inventory():
     def params(fn):
         return list(inspect.signature(fn).parameters)
 
+    assert params(PNWStore.__init__) == ["self", "config"]
     assert params(ShardedPNWStore.__init__) == ["self", "config"]
     assert params(TieredStore.__init__) == ["self", "store"]
     assert params(make_store) == ["config"]
@@ -236,7 +231,7 @@ def test_constructor_inventory():
 
 @pytest.mark.parametrize(
     "tier_mode, executor",
-    [("write_back", "thread"), ("write_through", "process")],
+    [("write_back", "thread"), ("write_through", "thread")],
 )
 def test_store_agrees_with_its_config(tier_mode, executor):
     config = dataclasses.replace(
@@ -248,6 +243,7 @@ def test_store_agrees_with_its_config(tier_mode, executor):
         assert store.config is config
         assert store.n_shards == config.shards
         assert store.mode == config.tier_mode
-        assert store.store.executor_kind == config.executor
+        assert isinstance(store.store, ShardedPNWStore)
+        assert store.store.config is config
     finally:
         store.close()

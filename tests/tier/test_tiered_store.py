@@ -1,8 +1,8 @@
 """TieredStore semantics: routing, equivalence, errors, composition.
 
-The equivalence tests run against all three store backends (single
-zone, sharded threads, sharded processes) because the tier promises the
-same logical contents no matter what it wraps.
+The equivalence tests run against both store backends (single zone,
+sharded threads) because the tier promises the same logical contents
+no matter what it wraps.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from repro.shard import ShardedPNWStore
 from repro.workloads import ZipfianKVWorkload
 from tests.conftest import clustered_values
 
-BACKENDS = ["single", "threads", "processes"]
+BACKENDS = ["single", "threads"]
 
 
 def make_config(**overrides) -> PNWConfig:
@@ -43,8 +43,7 @@ def make_tiered(backend: str, **overrides) -> TieredStore:
     if backend == "single":
         config = make_config(**overrides)
     else:
-        executor = "thread" if backend == "threads" else "process"
-        config = make_config(shards=3, executor=executor, **overrides)
+        config = make_config(shards=3, **overrides)
     store = make_store(config)
     assert isinstance(store, TieredStore)
     return store
