@@ -1,17 +1,17 @@
 #!/usr/bin/env python
 """NVM wear with and without the DRAM tier, on hot-key traffic.
 
-Four stores with identical configuration, warm-up, and op stream —
-``tier_mode`` off / ``write_through`` / ``write_back`` / ``predictive``
-— driven by a Zipfian hot-key rewrite stream (or the TTL key-churn
-stream with ``--workload churn``).  The measurement is the data zone's
+Three stores with identical configuration, warm-up, and op stream —
+``tier_mode`` off / ``write_through`` / ``write_back`` — driven by a
+Zipfian hot-key rewrite stream (or the TTL key-churn stream with
+``--workload churn``).  The measurement is the data zone's
 wear delta over the measured ops: bucket writes and NVM cells
 programmed (``WearStats.total_bit_updates``).  The tier's claim, which
 this benchmark gates:
 
-* ``write_back`` and ``predictive`` cut cells programmed by at least
-  ``--min-saving`` (default 30%) — rewrites of hot keys coalesce in
-  DRAM, so the device never sees the intermediate versions;
+* ``write_back`` cuts cells programmed by at least ``--min-saving``
+  (default 30%) — rewrites of hot keys coalesce in DRAM, so the device
+  never sees the intermediate versions;
 * ``write_through`` leaves the durable state **byte-identical** to the
   bare store (checked against the NVM snapshot);
 * every mode answers reads correctly during the run (read-your-write
@@ -36,7 +36,7 @@ from repro import PNWConfig, make_store
 from repro.bench import ExperimentResult, report
 from repro.workloads import make_workload
 
-MODES = ("off", "write_through", "write_back", "predictive")
+MODES = ("off", "write_through", "write_back")
 
 
 def build_ops(args) -> tuple[np.ndarray, list[tuple[str, bytes, bytes | None]]]:
@@ -165,7 +165,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="read-your-write spot checks per mode")
     parser.add_argument("--min-saving", type=float, default=0.30,
                         help="required fractional reduction in cells "
-                             "programmed for write_back and predictive")
+                             "programmed for write_back")
     args = parser.parse_args(argv)
     if args.ops is None:
         args.ops = 2500 if args.smoke else 10000
@@ -232,7 +232,7 @@ def main(argv: list[str] | None = None) -> int:
             )
             if not identical:
                 failures.append("write_through durable state diverged")
-        if mode in ("write_back", "predictive") and saving < args.min_saving:
+        if mode == "write_back" and saving < args.min_saving:
             failures.append(
                 f"{mode}: saved {saving:.1%} of cells, below the "
                 f"required {args.min_saving:.0%}"

@@ -384,8 +384,7 @@ def main() -> int:
     parser.add_argument("--value-bytes", type=int, default=32)
     parser.add_argument("--shards", type=int, default=4)
     parser.add_argument("--tier-mode", default="off",
-                        choices=["off", "write_through", "write_back",
-                                 "predictive"],
+                        choices=["off", "write_through", "write_back"],
                         help="DRAM tier placement policy for the store")
     parser.add_argument("--max-batch", type=int, default=64)
     parser.add_argument("--max-delay-ms", type=float, default=2.0)

@@ -60,7 +60,6 @@ from .nvm import (
 from .shard import ShardedPNWStore, make_store
 from .tier import (
     BufferCache,
-    LongevityClassifier,
     TieredStore,
     TierStats,
     WriteBuffer,
@@ -92,7 +91,6 @@ __all__ = [
     "TierStats",
     "BufferCache",
     "WriteBuffer",
-    "LongevityClassifier",
     "KMeans",
     "MiniBatchKMeans",
     "PCA",

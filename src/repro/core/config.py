@@ -95,12 +95,10 @@ class PNWConfig:
     tier_mode:
         DRAM tier policy, consumed by :func:`repro.shard.make_store`:
         ``"off"`` (no tier — the bare store), ``"write_through"`` (read
-        cache only; durable state byte-identical to no tier),
-        ``"write_back"`` (every mutation staged in DRAM and flushed in
-        coalesced batches), or ``"predictive"`` (per-op longevity
-        routing via :class:`repro.tier.LongevityClassifier`).  The
-        store classes themselves ignore it; the wrapping lives in
-        :class:`repro.tier.TieredStore`.
+        cache only; durable state byte-identical to no tier), or
+        ``"write_back"`` (every put and update staged in DRAM and
+        flushed in coalesced batches).  The store classes themselves
+        ignore it; the wrapping lives in :class:`repro.tier.TieredStore`.
     tier_cache_entries:
         Capacity of the tier's DRAM read cache, in entries (0 disables
         the read cache).
@@ -220,10 +218,15 @@ class PNWConfig:
             raise ConfigError(
                 f"executor must be 'thread', got {self.executor!r}"
             )
-        if self.tier_mode not in ("off", "write_through", "write_back", "predictive"):
+        if self.tier_mode == "predictive":
             raise ConfigError(
-                f"tier_mode must be 'off', 'write_through', 'write_back' or "
-                f"'predictive', got {self.tier_mode!r}"
+                "tier_mode='predictive' was removed; 'write_back' programs "
+                "fewer NVM cells"
+            )
+        if self.tier_mode not in ("off", "write_through", "write_back"):
+            raise ConfigError(
+                f"tier_mode must be 'off', 'write_through' or 'write_back', "
+                f"got {self.tier_mode!r}"
             )
         if self.tier_cache_entries < 0:
             raise ConfigError(

@@ -1,8 +1,8 @@
 """Counters for the DRAM tier (buffer cache + write-back buffer).
 
-Every tier component (the read cache, each per-shard write buffer, the
-longevity classifier, and the :class:`~repro.tier.store.TieredStore`
-itself) owns one :class:`TierStats` and bumps only its own fields;
+Every tier component (the read cache, each per-shard write buffer, and
+the :class:`~repro.tier.store.TieredStore` itself) owns one
+:class:`TierStats` and bumps only its own fields;
 :meth:`TierStats.merge` sums the parts into the whole-tier snapshot —
 the same field-generic merge :class:`~repro.core.reports.StoreMetrics`,
 :class:`~repro.nvm.stats.MediaStats` and ``RouterStats`` inherit.
@@ -41,16 +41,12 @@ class TierStats(_Counters):
 
     * ``flush_events`` — write-buffer drains through the batch path.
     * ``flushed`` — dirty entries written to NVM by those drains.
-    * ``write_through`` — ops routed straight through to the store.
+    * ``write_through`` — ops the store applied directly: every
+      mutation in ``write_through`` mode; in ``write_back`` mode, the
+      deletes of durable keys (puts and updates always stage).
     * ``unflushed_lost`` — dirty entries dropped by :meth:`crash` before
       any flush made them durable; the tier's precisely-bounded data
       loss (everything else is exactly as durable as the plain store).
-
-    Classifier counters (owned by
-    :class:`~repro.tier.classify.LongevityClassifier`):
-
-    * ``predicted_short`` / ``predicted_long`` — per-op longevity calls
-      in ``tier_mode="predictive"``.
     """
 
     cache_hits: int = 0
@@ -64,8 +60,6 @@ class TierStats(_Counters):
     flushed: int = 0
     write_through: int = 0
     unflushed_lost: int = 0
-    predicted_short: int = 0
-    predicted_long: int = 0
 
     @property
     def cache_hit_rate(self) -> float:

@@ -1,4 +1,4 @@
-"""The DRAM tier: a longevity-aware cache + write-back buffer in front
+"""The DRAM tier: a read cache + coalescing write-back buffer in front
 of the NVM store.
 
 The paper's premise is that NVM cells endure a bounded number of
@@ -17,11 +17,7 @@ public K/V API and the store's staged write engine:
   capacity), **interval** (the oldest dirty entry ages past
   ``tier_flush_ops`` tier mutations), and **pressure** (total staged
   entries across shards reach the global ``tier_writeback_entries``
-  bound);
-* a :class:`~repro.tier.classify.LongevityClassifier`
-  (``tier_mode="predictive"``) that routes predicted-short-lived values
-  write-back and predicted-long-lived values write-through, reusing the
-  store's featurizer stack on each payload.
+  bound).
 
 Placement policy (``tier_mode`` on :class:`~repro.core.config.PNWConfig`):
 
@@ -29,13 +25,9 @@ Placement policy (``tier_mode`` on :class:`~repro.core.config.PNWConfig`):
 ``write_through``  Every mutation passes straight to the store — the
                    durable state is *byte-identical* to running without
                    a tier; only GETs are accelerated by the read cache.
-``write_back``     Every mutation stages in DRAM first; NVM sees only
-                   coalesced flushes.  Maximum wear reduction, bounded
-                   window of volatile data.
-``predictive``     Per-op: the longevity classifier picks write-back
-                   for predicted-short-lived values and write-through
-                   for the rest — wear savings close to ``write_back``
-                   with a much smaller volatile window.
+``write_back``     Every put/update stages in DRAM first; NVM sees only
+                   coalesced flushes.  A delete of a durable key passes
+                   through; a delete of a staged create is absorbed.
 =================  =====================================================
 
 Crash semantics — precise by construction:
@@ -84,7 +76,6 @@ from ..engine.plan import check_unique, validate_values
 from ..errors import DegradedModeError, KeyNotFoundError
 from ..index.base import KeyIndex
 from .cache import BufferCache
-from .classify import LongevityClassifier
 from .stats import TierStats
 from .writebuffer import StagedEntry, WriteBuffer
 
@@ -111,7 +102,7 @@ class TieredStore:
         self.store = store
         self.config: PNWConfig = store.config
         mode = self.config.tier_mode
-        #: ``"write_through"`` / ``"write_back"`` / ``"predictive"``.
+        #: ``"write_through"`` or ``"write_back"``.
         self.mode = "write_back" if mode == "off" else mode
         #: Lane count for the admission layer (one per shard).
         self.n_shards: int = store.n_shards
@@ -120,12 +111,8 @@ class TieredStore:
         self.cache = BufferCache(self.config.tier_cache_entries)
         per_shard = max(1, self.writeback_entries // self.n_shards)
         self._buffers = [WriteBuffer(per_shard) for _ in range(self.n_shards)]
-        self.classifier = (
-            LongevityClassifier(self.config) if mode == "predictive" else None
-        )
         #: Tier-level counters (flush/routing/crash); component counters
-        #: live on the cache, buffers, and classifier.  ``tier_stats``
-        #: merges them all.
+        #: live on the cache and buffers.  ``tier_stats`` merges them all.
         self._local = TierStats()
         self._lock = threading.RLock()
         self._seq = 0
@@ -151,8 +138,6 @@ class TieredStore:
         """Whole-tier counter snapshot, merged across every component."""
         parts = [self._local, self.cache.stats]
         parts.extend(buffer.stats for buffer in self._buffers)
-        if self.classifier is not None:
-            parts.append(self.classifier.stats)
         return TierStats.merge(parts)
 
     @property
@@ -182,7 +167,8 @@ class TieredStore:
     # ------------------------------------------------------------------ #
 
     def put(self, key: bytes, value: bytes | np.ndarray) -> OperationReport:
-        """PUT through the tier (absorbed or passed through per policy)."""
+        """PUT through the tier (staged, or passed through in
+        ``write_through`` mode)."""
         return self.put_many([(key, value)])[0]
 
     def put_unique(self, key: bytes, value: bytes | np.ndarray) -> OperationReport:
@@ -264,28 +250,22 @@ class TieredStore:
     # the mutation pipeline                                               #
     # ------------------------------------------------------------------ #
 
-    def _store_op(self, kind: str):
-        return {
-            "put": self.store.put_many,
-            "update": self.store.update_many,
-            "delete": self.store.delete_many,
-        }[kind]
-
     def _mutate_many(
         self, kind: str, items: list[tuple[bytes, bytes | None]]
     ) -> list[OperationReport]:
         if self.mode == "write_through":
             return self._pass_through(kind, items)
         out: list[OperationReport] = []
-        #: Consecutive pass-through ops awaiting one batched store call.
-        run: list = []
+        #: Consecutive deletes of durable keys awaiting one batched
+        #: store call.
+        run: list[bytes] = []
 
         def flush_run() -> None:
             if not run:
                 return
             batch, run[:] = list(run), []
             try:
-                reports = self._store_op(kind)(batch)
+                reports = self.store.delete_many(batch)
             except Exception as exc:
                 committed = getattr(exc, "committed_reports", None)
                 if committed is not None:
@@ -299,7 +279,7 @@ class TieredStore:
             if kind == "delete":
                 self._delete_one(key, run, flush_run, out)
             else:
-                self._write_one(kind, key, value, run, flush_run, out)
+                self._write_one(kind, key, value, out)
             try:
                 self._check_triggers()
             except Exception as exc:
@@ -317,46 +297,23 @@ class TieredStore:
         flush_run()
         return out
 
-    def _write_one(self, kind, key, value, run, flush_run, out) -> None:
+    def _write_one(self, kind, key, value, out) -> None:
+        """Stage one put/update.  A rewrite of a dirty key coalesces
+        into its entry — that coalesce IS the NVM write the tier
+        saves."""
         buffer = self._buffers[self.shard_of_key(key)]
         padded = self._pad(value)
         self.cache.invalidate(key)
-        entry = buffer.entry(key)
-        if entry is not None:
-            # Rewrite of a dirty key: always absorbed — this coalesce IS
-            # the NVM write the tier saves.
-            buffer.stage(key, padded, is_create=entry.is_create, seq=entry.seq)
-            if self.classifier is not None:
-                if entry.rewrites == 1:
-                    # First rewrite while staged: ground truth that this
-                    # content is short-lived (voted once per entry).
-                    self.classifier.observe(padded, short=True)
-                self.classifier.record_write(key, padded, self._seq)
-            out.append(OperationReport.make_buffered(kind, key))
-            return
-        exists = key in self.store
-        if kind == "update" and not exists:
-            flush_run()
-            exc = KeyNotFoundError(f"key {key!r} not found")
-            exc.committed_reports = list(out)
-            raise exc
-        if self.mode == "write_back":
-            write_back = True
-        else:
-            write_back = self.classifier.classify(key, padded, self._seq)
-        if self.classifier is not None:
-            self.classifier.record_write(key, padded, self._seq)
-        if write_back:
-            if run:
-                # The pending pass-through run may hold an earlier op on
-                # this same key; drain it and recompute existence so
-                # is_create reflects the store state a flush will see.
-                flush_run()
-                exists = key in self.store
-            buffer.stage(key, padded, is_create=not exists, seq=self._seq)
-            out.append(OperationReport.make_buffered(kind, key))
-        else:
-            run.append((key, value))
+        is_create = False
+        if buffer.entry(key) is None:
+            exists = key in self.store
+            if kind == "update" and not exists:
+                exc = KeyNotFoundError(f"key {key!r} not found")
+                exc.committed_reports = list(out)
+                raise exc
+            is_create = not exists
+        buffer.stage(key, padded, is_create=is_create, seq=self._seq)
+        out.append(OperationReport.make_buffered(kind, key))
 
     def _delete_one(self, key, run, flush_run, out) -> None:
         buffer = self._buffers[self.shard_of_key(key)]
@@ -386,7 +343,7 @@ class TieredStore:
             self._seq += 1
             self.cache.invalidate(key)
         try:
-            reports = self._store_op(kind)(batch)
+            reports = getattr(self.store, f"{kind}_many")(batch)
         except Exception as exc:
             committed = getattr(exc, "committed_reports", None)
             self._local.write_through += len(committed) if committed else 0
@@ -406,9 +363,9 @@ class TieredStore:
             if buffer.full()
         ]
         if full:
-            self._flush_buffers(full, aged=False)
+            self._flush_buffers(full)
         if self.dirty_entries >= self.writeback_entries:
-            self._flush_buffers(range(self.n_shards), aged=False)
+            self._flush_buffers(range(self.n_shards))
             return
         aged = [
             shard_id
@@ -417,9 +374,9 @@ class TieredStore:
             and self._seq - buffer.oldest_seq() >= self.flush_ops
         ]
         if aged:
-            self._flush_buffers(aged, aged=True)
+            self._flush_buffers(aged)
 
-    def _flush_buffers(self, shard_ids, *, aged: bool) -> int:
+    def _flush_buffers(self, shard_ids) -> int:
         """Drain the given shards' dirty entries through ``put_many``.
 
         One store call covers every shard (the sharded store splits it
@@ -454,19 +411,12 @@ class TieredStore:
             self._local.flushed += len(committed)
             raise
         self._local.flushed += len(reports)
-        if self.classifier is not None and aged:
-            # Entries that aged a full interval without a rewrite are
-            # ground truth for long-lived content.
-            for _, taken in groups:
-                for _, entry in taken:
-                    if entry.rewrites == 0:
-                        self.classifier.observe(entry.value, short=False)
         return len(reports)
 
     def flush(self) -> int:
         """Drain every dirty entry to NVM now; returns entries written."""
         with self._lock:
-            return self._flush_buffers(range(self.n_shards), aged=False)
+            return self._flush_buffers(range(self.n_shards))
 
     # ------------------------------------------------------------------ #
     # lifecycle                                                           #
@@ -481,7 +431,7 @@ class TieredStore:
         """Flush first — so staged values are zone contents the model
         can see — then retrain the store."""
         with self._lock:
-            self._flush_buffers(range(self.n_shards), aged=False)
+            self._flush_buffers(range(self.n_shards))
             self.store.retrain()
 
     def crash(self) -> None:
@@ -489,15 +439,12 @@ class TieredStore:
 
         Loses *exactly* the unflushed write-back entries — counted into
         ``tier_stats.unflushed_lost`` — plus the (rebuildable) read
-        cache and classifier state; then the store's own DRAM
-        structures crash as usual.
+        cache; then the store's own DRAM structures crash as usual.
         """
         with self._lock:
             lost = sum(buffer.clear() for buffer in self._buffers)
             self._local.unflushed_lost += lost
             self.cache.clear()
-            if self.classifier is not None:
-                self.classifier.reset()
             self.store.crash()
 
     def recover(self) -> None:
@@ -509,7 +456,7 @@ class TieredStore:
         """Deterministic shutdown: flush every dirty entry, then close
         the store.  Nothing staged is lost on a clean close."""
         with self._lock:
-            self._flush_buffers(range(self.n_shards), aged=False)
+            self._flush_buffers(range(self.n_shards))
             self.store.close()
 
     def __enter__(self) -> "TieredStore":
@@ -527,19 +474,20 @@ class TieredStore:
     ) -> dict[int, list[RunOutcome]]:
         """The :class:`~repro.ingest.IngestQueue` drain path, through
         the tier.  Runs execute in shard order under the tier lock (the
-        tier's buffers and classifier are shared state); the flushes
+        tier's cache and buffers are shared state); the flushes
         they trigger still fan out across the store's shards, so the
         admission layer keeps its multi-lane surface and write-back
         batching stays intact.
 
         Known tradeoff: the tier lock serializes the admission layer's
-        lanes here, so pure write-through / pass-through traffic no
-        longer runs concurrently across shards (only the fan-out inside
-        each store call remains).
+        lanes here, so write-through traffic no longer runs
+        concurrently across shards (only the fan-out inside each store
+        call remains).
         Write-back traffic loses little: its cost is DRAM staging, and
         the coalesced flushes still parallelize.  If write-through
         ingest throughput becomes the bottleneck, per-shard tier locks
-        or routing pass-through runs around the tier are the follow-ups.
+        or routing write-through runs around the tier are the
+        follow-ups.
         """
         return {
             shard_id: execute_runs(self, batches[shard_id])

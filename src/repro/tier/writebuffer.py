@@ -25,7 +25,7 @@ __all__ = ["WriteBuffer", "StagedEntry"]
 class StagedEntry:
     """One dirty key: its latest value and staging metadata."""
 
-    __slots__ = ("value", "is_create", "seq", "rewrites")
+    __slots__ = ("value", "is_create", "seq")
 
     def __init__(self, value: bytes, is_create: bool, seq: int) -> None:
         #: Padded value bytes — what a flush will write.
@@ -36,8 +36,6 @@ class StagedEntry:
         #: Tier mutation sequence number of the *first* staging — the
         #: age anchor for the interval flush trigger.
         self.seq = seq
-        #: Rewrites coalesced into this entry while staged.
-        self.rewrites = 0
 
 
 class WriteBuffer:
@@ -105,7 +103,6 @@ class WriteBuffer:
         entry = self._entries.get(key)
         if entry is not None:
             entry.value = value
-            entry.rewrites += 1
             self.stats.coalesced += 1
             return True
         self._entries[key] = StagedEntry(value, is_create, seq)

@@ -18,8 +18,8 @@ Both pack items as ``[key | value]`` records (like the synthetic integer
 workloads) so a record matrix maps 1:1 onto store buckets.  Values are
 drawn from a small set of per-key *profiles* XOR sparse bit noise —
 rewrites of a key differ (the store must actually write) yet stay
-clusterable, which is what lets the predictive tier's content model
-generalise from observed rewrite behaviour to unseen keys.
+clusterable, so PNW's content model still finds structure in the
+flushed versions.
 """
 
 from __future__ import annotations

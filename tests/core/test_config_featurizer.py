@@ -72,6 +72,10 @@ class TestConfig:
         with pytest.raises(ConfigError, match="'process' was removed"):
             PNWConfig(num_buckets=4, value_bytes=8, executor="process")
 
+    def test_predictive_rejected_as_removed(self):
+        with pytest.raises(ConfigError, match="'predictive' was removed"):
+            PNWConfig(num_buckets=4, value_bytes=8, tier_mode="predictive")
+
     def test_frozen(self):
         config = PNWConfig(num_buckets=4, value_bytes=8)
         with pytest.raises(AttributeError):

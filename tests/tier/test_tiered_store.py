@@ -1,4 +1,4 @@
-"""TieredStore semantics: routing, equivalence, errors, composition.
+"""TieredStore semantics: modes, equivalence, errors, composition.
 
 The equivalence tests run against both store backends (single zone,
 sharded threads) because the tier promises the same logical contents
@@ -149,19 +149,18 @@ class TestModes:
         finally:
             store.close()
 
-    def test_predictive_routes_cold_through_hot_back(self):
-        store = warmed("single", tier_mode="predictive")
+    def test_write_back_passes_only_durable_deletes_through(self):
+        store = warmed("single")
         try:
-            # First sight of a key: no recency, untrained model -> long.
-            store.put(b"cold", b"v1")
-            assert store.dirty_entries == 0
-            stats = store.tier_stats
-            assert stats.predicted_long == 1
-            # Rewrite within the recency window -> short -> staged.
-            store.put(b"cold", b"v2")
-            assert store.dirty_entries == 1
-            assert store.tier_stats.predicted_short == 1
-            assert store.get(b"cold") == b"v2".ljust(24, b"\x00")
+            deletes = store.metrics.deletes
+            store.put_many([(b"a", b"1"), (b"b", b"2")])
+            store.update(b"a", b"1'")
+            store.delete(b"b")  # staged create: cancelled in DRAM
+            assert store.tier_stats.write_through == 0
+            assert store.flush() == 1
+            store.delete(b"a")  # durable key: deleted through
+            assert store.tier_stats.write_through == 1
+            assert store.metrics.deletes == deletes + 1
         finally:
             store.close()
 
@@ -224,37 +223,35 @@ class TestErrorSemantics:
         finally:
             store.close()
 
-    def test_delete_of_staged_update_reaches_store(self):
+    @pytest.mark.parametrize(
+        "rewrites",
+        [
+            [(b"k", b"v2")],
+            # The same durable key twice in one batch: the second write
+            # coalesces into the staged update, which must stay an
+            # update (is_create=False) or the DELETE would cancel only
+            # the DRAM entry and resurrect the durable value.
+            [(b"k", b"v2"), (b"k", b"v3")],
+        ],
+        ids=["one_put", "duplicate_in_one_batch"],
+    )
+    def test_delete_of_staged_update_reaches_store(self, rewrites):
         store = warmed("single")
         try:
             store.put(b"k", b"v1")
             store.flush()  # durable now
-            store.put(b"k", b"v2")  # staged update
+            reports = store.put_many(rewrites)  # staged update
+            assert all(report.buffered for report in reports)
+            assert store.dirty_entries == 1
+            assert len(store) == len(store.store)  # no phantom create
+            assert store.get(b"k") == rewrites[-1][1].ljust(24, b"\x00")
             report = store.delete(b"k")
             assert not report.buffered  # the durable version was deleted
             assert b"k" not in store
-        finally:
-            store.close()
-
-    def test_duplicate_key_in_one_predictive_batch_then_delete(self):
-        # Same key twice in one batch: the cold first op passes through,
-        # the rewrite goes write-back.  The staged entry must see the
-        # flushed first version (is_create=False) or a later DELETE
-        # cancels only the DRAM entry and resurrects the durable value.
-        store = warmed("single", tier_mode="predictive")
-        try:
-            reports = store.put_many([(b"dup", b"v1"), (b"dup", b"v2")])
-            assert not reports[0].buffered  # cold key passed through
-            assert reports[1].buffered  # recency rewrite absorbed
-            assert store.dirty_entries == 1
-            assert len(store) == len(store.store)  # no phantom create
-            assert store.get(b"dup") == b"v2".ljust(24, b"\x00")
-            report = store.delete(b"dup")
-            assert not report.buffered  # the durable version was deleted
-            assert b"dup" not in store
-            assert b"dup".ljust(8, b"\x00") not in store.store
+            assert b"k".ljust(8, b"\x00") not in store.store
+            assert len(store) == len(store.store)
             with pytest.raises(KeyNotFoundError):
-                store.get(b"dup")
+                store.get(b"k")
         finally:
             store.close()
 
@@ -318,7 +315,7 @@ class TestFlushTriggers:
                        tier_flush_ops=10)
         try:
             store.put(b"old", b"v")
-            # Age it with passthrough-free rewrites of other keys.
+            # Age it with rewrites of other keys.
             for i in range(12):
                 store.put(f"other{i % 3}".encode(), b"v")
             assert b"old".ljust(8, b"\x00") in store.store

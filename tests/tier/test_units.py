@@ -67,7 +67,6 @@ class TestWriteBuffer:
         assert buffer.stage(b"k", b"v2", is_create=True, seq=1) is True
         entry = buffer.entry(b"k")
         assert entry.value == b"v2"
-        assert entry.rewrites == 1
         assert entry.seq == 1  # age anchored at first staging
         assert buffer.stats.staged == 1
         assert buffer.stats.coalesced == 1
