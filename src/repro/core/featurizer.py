@@ -14,7 +14,13 @@ large buckets.  Two featurizers implement that trade-off:
   the reason the paper reaches for PCA rather than raw bits on 4 KB
   pages).
 
-Either can be composed with :class:`~repro.ml.pca.PCA`.
+Both encodings are ``uint8`` matrices: 0/1 bits or 0..255 bytes.
+K-Means fits them with exact integer kernels (see
+:mod:`repro.ml.kmeans`), and every consumer that needs floats (PCA,
+``KMeans.predict`` and ``centroid_distances``, mini-batch refreshes)
+converts them to float64 itself, so it sees the same values as before.
+Either can be composed with :class:`~repro.ml.pca.PCA`, whose
+projections are float64.
 """
 
 from __future__ import annotations
@@ -54,7 +60,8 @@ class Featurizer:
         return self
 
     def transform(self, rows: np.ndarray) -> np.ndarray:
-        """Feature matrix for packed byte rows ``(n, bucket_bytes)``."""
+        """Feature matrix for packed byte rows ``(n, bucket_bytes)``:
+        the ``uint8`` encoding, or its float64 PCA projection."""
         if not self._fitted:
             raise NotFittedError("call fit() before transform()")
         encoded = self._encode(np.atleast_2d(rows))
@@ -95,9 +102,7 @@ class BitFeaturizer(Featurizer):
     name = "bit"
 
     def _encode(self, rows: np.ndarray) -> np.ndarray:
-        return unpack_bits(np.ascontiguousarray(rows, dtype=np.uint8)).astype(
-            np.float64
-        )
+        return unpack_bits(np.ascontiguousarray(rows, dtype=np.uint8))
 
 
 class ByteFeaturizer(Featurizer):
@@ -106,7 +111,7 @@ class ByteFeaturizer(Featurizer):
     name = "byte"
 
     def _encode(self, rows: np.ndarray) -> np.ndarray:
-        return np.ascontiguousarray(rows, dtype=np.uint8).astype(np.float64)
+        return np.array(rows, dtype=np.uint8, order="C")
 
 
 def make_featurizer(

@@ -139,7 +139,7 @@ class PNWStore:
             else None
         )
 
-        self.index: KeyIndex = self._build_index()
+        self.index: DRAMHashIndex = self._build_index()
         self.manager = ModelManager(config)
         self.pool = self._new_pool(1)
         self.pool.rebuild(
@@ -151,7 +151,7 @@ class PNWStore:
         self._live_count = 0
         self._mutations_since_check = 0
 
-    def _build_index(self) -> KeyIndex:
+    def _build_index(self) -> DRAMHashIndex:
         return DRAMHashIndex(self.config.key_bytes, self.memory.dram)
 
     # ------------------------------------------------------------------ #
@@ -556,8 +556,7 @@ class PNWStore:
         live = np.flatnonzero(valid)
         if len(self.index) == 0:
             keys = np.asarray(self.nvm.contents)[live, : self.config.key_bytes]
-            for address, key in zip(live.tolist(), keys):
-                self.index.put(key.tobytes(), address)
+            self.index.put_many(keys, live.tolist())
         self._live_count = int(live.size)
         self._train_and_refile(np.flatnonzero(~valid))
         if self.scrubber is not None:

@@ -8,6 +8,8 @@ the data zone (see ``PNWStore.recover``).
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..errors import KeyNotFoundError
 from ..nvm.hybrid import DRAMRegion
 from .base import KeyIndex
@@ -33,6 +35,29 @@ class DRAMHashIndex(KeyIndex):
         key = self.normalize_key(key, self.key_bytes)
         self._map[key] = address
         self.dram.write(self._entry_bytes())
+
+    def put_many(self, keys: np.ndarray, addresses: list[int]) -> None:
+        """:meth:`put` of every row of a ``(n, key_bytes)`` key matrix.
+
+        The recovery rebuild's bulk insert: one dict update, and the DRAM
+        counters of ``n`` single puts.  Each key is a slice of the
+        matrix's bytes, so trailing NUL bytes stay part of the key.
+        """
+        keys = np.ascontiguousarray(keys, dtype=np.uint8)
+        if keys.ndim != 2 or keys.shape[1] != self.key_bytes:
+            raise ValueError(
+                f"expected a (n, {self.key_bytes}) key matrix, got {keys.shape}"
+            )
+        if keys.shape[0] != len(addresses):
+            raise ValueError(
+                f"{keys.shape[0]} keys for {len(addresses)} addresses"
+            )
+        blob, width = keys.tobytes(), self.key_bytes
+        self._map.update(
+            (blob[start : start + width], address)
+            for start, address in zip(range(0, len(blob), width), addresses)
+        )
+        self.dram.write_many(self._entry_bytes(), len(addresses))
 
     def get(self, key: bytes) -> int:
         key = self.normalize_key(key, self.key_bytes)

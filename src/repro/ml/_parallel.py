@@ -17,6 +17,16 @@ divides).  Callers that only want labels run the first alone;
 ``assign_dense`` is the two back to back.  Both are shared with the
 in-process path, so serial and parallel fits are bit-identical for the
 same seeds.
+
+``run_restarts`` converts the training matrix to float64 and computes
+its rows' ``|x|^2`` once for all restarts.  A ``uint8`` matrix (the bit
+and byte encodings) marks the fit *exact*: its products and partial
+sums are integers below 2**53 — a row's ``|x|^2`` is at most
+``255**2 * n_features``, a cluster's sum at most ``255 * n_samples`` —
+so float64 computes them without rounding in any order, and the
+seeding and ``cluster_sums`` may use BLAS products instead of their
+ordered loops.  Float input could round differently in another order,
+and wider integers could pass 2**53, so only ``uint8`` qualifies.
 """
 
 from __future__ import annotations
@@ -43,7 +53,7 @@ def assign_labels(
     (the Lloyd loop) computes it once and passes it in.
     """
     if x_sq is None:
-        x_sq = np.einsum("ij,ij->i", X, X)
+        x_sq = row_sq_norms(X)
     c_sq = np.einsum("ij,ij->i", centers, centers)
     cross = X @ centers.T
     d2 = x_sq[:, None] + c_sq[None, :] - 2.0 * cross
@@ -53,8 +63,13 @@ def assign_labels(
     return labels, sse
 
 
+def row_sq_norms(X: np.ndarray) -> np.ndarray:
+    """Per-row ``|x|^2`` of a float64 matrix."""
+    return np.einsum("ij,ij->i", X, X)
+
+
 def cluster_sums(
-    X: np.ndarray, labels: np.ndarray, n_clusters: int
+    X: np.ndarray, labels: np.ndarray, n_clusters: int, exact: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-cluster ``(row sums, member counts)`` of an assignment.
 
@@ -64,8 +79,16 @@ def cluster_sums(
     An axis-0 reduction of a C-ordered matrix adds whole rows left to
     right; a single column would be reduced pairwise instead, so that
     shape goes through ``bincount``, which also accumulates in order.
+
+    ``exact`` says ``X`` holds ``uint8`` values, whose sums are exact
+    integers in any order: then one one-hot GEMM, ``(K x n) @ (n x d)``,
+    forms every sum at once, with the same bits.
     """
     counts = np.bincount(labels, minlength=n_clusters).astype(np.float64)
+    if exact:
+        onehot = np.zeros((n_clusters, X.shape[0]), dtype=np.float64)
+        onehot[labels, np.arange(X.shape[0])] = 1.0
+        return onehot @ X, counts
     sums = np.zeros((n_clusters, X.shape[1]), dtype=np.float64)
     if X.shape[1] == 1:
         sums[:, 0] = np.bincount(labels, weights=X[:, 0], minlength=n_clusters)
@@ -114,6 +137,13 @@ def _reseed_empty(
     return X[farthest]
 
 
+def _training_matrix(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
+    """``(float64 X, per-row |x|^2, exact)`` for a fit's restarts."""
+    exact = X.dtype == np.uint8
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    return X, row_sq_norms(X), exact
+
+
 def single_run(
     X: np.ndarray,
     n_clusters: int,
@@ -121,17 +151,32 @@ def single_run(
     scaled_tol: float,
     seed: int,
 ) -> LloydRun:
-    """One k-means++ seeding followed by Lloyd iterations to convergence."""
-    from .kmeans import kmeans_plus_plus  # local import breaks the cycle
+    """One k-means++ seeding followed by Lloyd iterations to convergence.
+
+    ``uint8`` input takes the exact kernels (module docstring).
+    """
+    return _lloyd(*_training_matrix(X), n_clusters, max_iter, scaled_tol, seed)
+
+
+def _lloyd(
+    X: np.ndarray,
+    x_sq: np.ndarray,
+    exact: bool,
+    n_clusters: int,
+    max_iter: int,
+    scaled_tol: float,
+    seed: int,
+) -> LloydRun:
+    """:func:`single_run` on a prepared :func:`_training_matrix`."""
+    from .kmeans import _seed_centers  # local import breaks the cycle
 
     rng = np.random.default_rng(seed)
-    centers = kmeans_plus_plus(X, n_clusters, rng)
-    x_sq = np.einsum("ij,ij->i", X, X)
+    centers = _seed_centers(X, n_clusters, rng, x_sq if exact else None)
     history: list[float] = []
     iteration = 0
     for iteration in range(1, max_iter + 1):
         labels, sse = assign_labels(X, centers, x_sq)
-        sums, counts = cluster_sums(X, labels, n_clusters)
+        sums, counts = cluster_sums(X, labels, n_clusters, exact)
         history.append(sse)
         new_centers = centers.copy()
         nonempty = counts > 0
@@ -152,7 +197,7 @@ def single_run(
 def _restart_task(args: tuple[int, int, int, float]) -> LloydRun:
     """Worker task: one restart against the fork-shared matrix."""
     seed, n_clusters, max_iter, scaled_tol = args
-    return single_run(_SHARED["X"], n_clusters, max_iter, scaled_tol, seed)
+    return _lloyd(*_SHARED["matrix"], n_clusters, max_iter, scaled_tol, seed)
 
 
 def run_restarts(
@@ -163,12 +208,17 @@ def run_restarts(
     seeds: list[int],
     n_jobs: int,
 ) -> list[LloydRun]:
-    """Run the ``n_init`` restarts, optionally across a process pool."""
+    """Run the ``n_init`` restarts, optionally across a process pool.
+
+    ``X`` is converted to float64 once for all of them; ``uint8`` input
+    takes the exact kernels (module docstring).
+    """
     if n_jobs < 1:
         raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
+    matrix = _training_matrix(X)
     if n_jobs == 1 or len(seeds) == 1:
         return [
-            single_run(X, n_clusters, max_iter, scaled_tol, seed)
+            _lloyd(*matrix, n_clusters, max_iter, scaled_tol, seed)
             for seed in seeds
         ]
     # Only a forked child inherits ``_SHARED``; a spawned one would
@@ -179,7 +229,7 @@ def run_restarts(
             "fork, which this platform does not offer; use n_jobs=1"
         )
     global _SHARED
-    _SHARED = {"X": np.ascontiguousarray(X, dtype=np.float64)}
+    _SHARED = {"matrix": matrix}
     try:
         workers = min(n_jobs, len(seeds))
         tasks = [(seed, n_clusters, max_iter, scaled_tol) for seed in seeds]

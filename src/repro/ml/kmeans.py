@@ -13,6 +13,15 @@ estimator surface on numpy:
 * ``MiniBatchKMeans`` for cheap background refreshes between full retrains
   (used by the ablation benchmarks).
 
+The input dtype picks the kernels.  The bit and byte featurizers hand
+the fit ``uint8`` matrices: every product and partial sum of their
+values is an integer far below 2**53, so float64 arithmetic on them is
+exact in any order, and seeding distances and centroid sums go through
+BLAS products (``|x|^2 + |c|^2 - 2 x.c``, a one-hot GEMM) that give the
+same bits as the ordered kernels.  Any other input (PCA projections,
+Gaussian test data) is converted to float64 and keeps the kernels whose
+float operations run in a fixed order.
+
 All randomness flows through a caller-supplied seed, so experiments are
 exactly reproducible.
 """
@@ -22,13 +31,14 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import NotFittedError
-from ._parallel import assign_labels, run_restarts
+from ._parallel import assign_labels, row_sq_norms, run_restarts
 
 __all__ = ["KMeans", "MiniBatchKMeans", "kmeans_plus_plus"]
 
-#: float64 elements per distance block in the seeding (256 KiB): the
-#: ``X - c`` temporary is written and re-read without leaving the cache.
-_SEED_BLOCK_ELEMENTS = 1 << 15
+#: float64 elements per block of the float seeding distances and of the
+#: variance reduction (256 KiB): the block's temporary is written and
+#: re-read without leaving the cache.
+_BLOCK_ELEMENTS = 1 << 15
 
 
 def _sq_distances(X: np.ndarray, center: np.ndarray) -> np.ndarray:
@@ -38,27 +48,80 @@ def _sq_distances(X: np.ndarray, center: np.ndarray) -> np.ndarray:
     each row's sum is the same ``einsum`` reduction whatever the block.
     """
     d2 = np.empty(X.shape[0], dtype=np.float64)
-    block = max(1, _SEED_BLOCK_ELEMENTS // max(1, X.shape[1]))
+    block = max(1, _BLOCK_ELEMENTS // max(1, X.shape[1]))
     for start in range(0, X.shape[0], block):
         diff = X[start : start + block] - center
         np.einsum("ij,ij->i", diff, diff, out=d2[start : start + block])
     return d2
 
 
-def kmeans_plus_plus(
-    X: np.ndarray, n_clusters: int, rng: np.random.Generator
-) -> np.ndarray:
-    """k-means++ seeding [Arthur & Vassilvitskii, SODA 2007].
+def _exact_sq_distances(X: np.ndarray, x_sq: np.ndarray, idx: int) -> np.ndarray:
+    """Squared L2 distance of every row of ``X`` to row ``idx``, as one GEMV.
 
-    Picks the first centroid uniformly, then each subsequent centroid with
-    probability proportional to its squared distance from the nearest
-    centroid chosen so far.
+    ``|x|^2 + |x_idx|^2 - 2 x.x_idx``, given the rows' ``|x|^2``.  For
+    ``uint8`` values every term is an integer below 2**53, so this is
+    :func:`_sq_distances` bit for bit; on other input it would round.
+    """
+    return x_sq + x_sq[idx] - 2.0 * (X @ X[idx])
+
+
+def _column_variance(X: np.ndarray) -> np.ndarray:
+    """``np.var(X, axis=0)``, bit for bit, without its ``X - mean`` copy.
+
+    The column sums are the axis-0 reduction ``np.var`` makes itself.
+    The squared deviations are formed in cache-sized blocks and added
+    row by row; each block's reduction starts from the running total,
+    carried in as the block's first row, so the additions are those of
+    ``np.var``'s one axis-0 reduction in the same order.  Each block is
+    cast to float64 before the mean is subtracted: the cast is exact, and
+    a float64-only subtraction runs faster than a mixed-type one.  numpy
+    reduces a single column pairwise instead, so that shape (and an
+    empty one) goes to ``np.var``.
+    """
+    n, d = X.shape
+    if d < 2:
+        return np.var(X, axis=0)
+    mean = np.add.reduce(X, axis=0, dtype=np.float64) / n
+    block = max(1, _BLOCK_ELEMENTS // d)
+    buf = np.empty((min(block, n) + 1, d))
+    total = np.empty(d)
+    for start in range(0, n, block):
+        rows = X[start : start + block]
+        carry = 1 if start else 0
+        stop = carry + rows.shape[0]
+        if carry:
+            buf[0] = total
+        dev = buf[carry:stop]
+        dev[...] = rows
+        np.subtract(dev, mean, out=dev)
+        np.multiply(dev, dev, out=dev)
+        np.add.reduce(buf[:stop], axis=0, out=total)
+    return total / n
+
+
+def _seed_centers(
+    X: np.ndarray,
+    n_clusters: int,
+    rng: np.random.Generator,
+    x_sq: np.ndarray | None = None,
+) -> np.ndarray:
+    """k-means++ on float64 ``X``.
+
+    With ``x_sq`` (the rows' ``|x|^2``) given, ``X`` holds ``uint8``
+    values and each distance is :func:`_exact_sq_distances`; otherwise
+    it is the blocked :func:`_sq_distances`.  Both give the same bits.
     """
     n = X.shape[0]
+
+    def distances(idx: int) -> np.ndarray:
+        if x_sq is None:
+            return _sq_distances(X, X[idx])
+        return _exact_sq_distances(X, x_sq, idx)
+
     centers = np.empty((n_clusters, X.shape[1]), dtype=np.float64)
     first = int(rng.integers(n))
     centers[0] = X[first]
-    closest_d2 = _sq_distances(X, centers[0])
+    closest_d2 = distances(first)
     for i in range(1, n_clusters):
         total = closest_d2.sum()
         if total <= 0.0:
@@ -68,8 +131,24 @@ def kmeans_plus_plus(
         else:
             idx = int(rng.choice(n, p=closest_d2 / total))
         centers[i] = X[idx]
-        np.minimum(closest_d2, _sq_distances(X, centers[i]), out=closest_d2)
+        np.minimum(closest_d2, distances(idx), out=closest_d2)
     return centers
+
+
+def kmeans_plus_plus(
+    X: np.ndarray, n_clusters: int, rng: np.random.Generator
+) -> np.ndarray:
+    """k-means++ seeding [Arthur & Vassilvitskii, SODA 2007].
+
+    Picks the first centroid uniformly, then each subsequent centroid with
+    probability proportional to its squared distance from the nearest
+    centroid chosen so far.  ``uint8`` input takes the exact GEMV
+    distances; the centroids are the same either way.
+    """
+    if X.dtype == np.uint8:
+        X = X.astype(np.float64)
+        return _seed_centers(X, n_clusters, rng, row_sq_norms(X))
+    return _seed_centers(X, n_clusters, rng)
 
 
 class KMeans:
@@ -129,8 +208,16 @@ class KMeans:
     # ------------------------------------------------------------------ #
 
     def fit(self, X: np.ndarray) -> "KMeans":
-        """Cluster ``X`` (n_samples, n_features)."""
-        X = np.ascontiguousarray(X, dtype=np.float64)
+        """Cluster ``X`` (n_samples, n_features).
+
+        ``uint8`` features (the bit and byte encodings) keep their dtype
+        and take the exact integer kernels; anything else is fitted as
+        float64.  Both give the centroids the ordered float kernels give.
+        """
+        X = np.asarray(X)
+        X = np.ascontiguousarray(
+            X, dtype=np.uint8 if X.dtype == np.uint8 else np.float64
+        )
         if X.ndim != 2:
             raise ValueError(f"X must be 2-D, got shape {X.shape}")
         n = X.shape[0]
@@ -141,7 +228,7 @@ class KMeans:
             )
         rng = np.random.default_rng(self.seed)
         # Match scikit-learn: tol is relative to the mean feature variance.
-        scaled_tol = self.tol * float(np.mean(np.var(X, axis=0)))
+        scaled_tol = self.tol * float(np.mean(_column_variance(X)))
 
         # One independent seed per restart, drawn up front so serial and
         # parallel execution see the same seed list (determinism).

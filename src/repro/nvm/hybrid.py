@@ -44,6 +44,22 @@ class DRAMRegion:
         self.write_ops += 1
         self.latency_ns += self.latency.write_ns(lines)
 
+    def write_many(self, nbytes: int, count: int, cacheline_bytes: int = 64) -> None:
+        """Account ``count`` DRAM writes of ``nbytes`` bytes each.
+
+        The counters end where ``count`` :meth:`write` calls leave them:
+        the latency is added once per write, in order, not multiplied,
+        so the float total is the same bits.
+        """
+        lines = -(-nbytes // cacheline_bytes)
+        self.bytes_written += nbytes * count
+        self.write_ops += count
+        cost = self.latency.write_ns(lines)
+        total = self.latency_ns
+        for _ in range(count):
+            total += cost
+        self.latency_ns = total
+
     def read(self, nbytes: int, cacheline_bytes: int = 64) -> None:
         """Account a DRAM read of ``nbytes`` bytes."""
         lines = -(-nbytes // cacheline_bytes)

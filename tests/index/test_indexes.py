@@ -183,3 +183,37 @@ class TestDRAMHashSpecifics:
             b"a".ljust(8, b"\x00"): 1,
             b"b".ljust(8, b"\x00"): 2,
         }
+
+    def test_put_many_equals_put_loop(self):
+        from repro.nvm import DRAMRegion
+        from repro.nvm.latency import LatencyModel
+
+        rng = np.random.default_rng(4)
+        keys = rng.integers(0, 256, size=(300, 8), dtype=np.uint8)
+        keys[::3, 5:] = 0  # trailing NUL bytes are part of the key
+        keys[7] = keys[2]  # a repeated key: the later address wins
+        keys[11] = 0
+        addresses = rng.permutation(1000)[:300].tolist()
+        # A latency that is not a whole number shows any reordering of
+        # the float total.
+        latency = LatencyModel(line_write_ns=0.1 + 1e-9, line_read_ns=1.0)
+        bulk = DRAMHashIndex(key_bytes=8, dram=DRAMRegion(latency=latency))
+        loop = DRAMHashIndex(key_bytes=8, dram=DRAMRegion(latency=latency))
+        for index in (bulk, loop):
+            index.put(b"old", 5)
+        bulk.put_many(keys, addresses)
+        for key, address in zip(keys, addresses):
+            loop.put(key.tobytes(), address)
+        assert list(bulk.items()) == list(loop.items())
+        assert len(bulk) == 1 + 300 - 1
+        for name in ("bytes_written", "write_ops", "latency_ns"):
+            assert getattr(bulk.dram, name) == getattr(loop.dram, name)
+        assert bulk.peek(bytes(keys[11])) == addresses[11]
+
+    def test_put_many_rejects_misshapen_keys(self):
+        index = DRAMHashIndex(key_bytes=8)
+        with pytest.raises(ValueError):
+            index.put_many(np.zeros((3, 7), dtype=np.uint8), [0, 1, 2])
+        with pytest.raises(ValueError):
+            index.put_many(np.zeros((3, 8), dtype=np.uint8), [0, 1])
+        assert len(index) == 0

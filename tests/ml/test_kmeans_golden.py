@@ -21,11 +21,20 @@ that contract:
   reference loops written here: per-cluster accumulation equals
   ``np.add.at`` bit for bit, and blocked k-means++ distances equal the
   unblocked ``einsum``.
+
+The bit and byte featurizers return ``uint8`` matrices, and the fit
+sends those through exact integer kernels (GEMV seeding distances, a
+one-hot GEMM for the centroid sums) instead of the ordered float ones.
+The ``bit/*`` and ``byte/*`` goldens were generated before those kernels
+existed and still pass through them unchanged; the last section checks
+that they really take that path and states each exact kernel against
+its oracle on the largest values a ``uint8`` row can hold.
 """
 
 from __future__ import annotations
 
 import hashlib
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -203,7 +212,7 @@ def _unblocked_sq_distances(X: np.ndarray, center: np.ndarray) -> np.ndarray:
 @pytest.fixture
 def blocks_of_32_rows(monkeypatch):
     """Seven-feature matrices are cut into 32-row distance blocks."""
-    monkeypatch.setattr(kmeans_module, "_SEED_BLOCK_ELEMENTS", 7 * 32)
+    monkeypatch.setattr(kmeans_module, "_BLOCK_ELEMENTS", 7 * 32)
 
 
 @pytest.mark.parametrize("n_rows", [1, 31, 32, 33, 100, 257])
@@ -242,3 +251,130 @@ def test_seeding_picks_what_unblocked_distances_pick(blocks_of_32_rows):
 
     got = kmeans_plus_plus(X, n_clusters, np.random.default_rng(4))
     assert got.tobytes() == reference(np.random.default_rng(4)).tobytes()
+
+
+# ---------------------------------------------------------------------- #
+# the exact integer path                                                  #
+# ---------------------------------------------------------------------- #
+
+
+def _extreme_uint8(rng: np.random.Generator, n: int, m: int) -> np.ndarray:
+    """Random bytes with all-0xFF and all-zero rows mixed in: the largest
+    ``|x|^2`` and ``x.c`` a ``uint8`` row can produce."""
+    X = rng.integers(0, 256, size=(n, m), dtype=np.uint8)
+    X[::5] = 0xFF
+    X[1::7] = 0
+    return X
+
+
+@pytest.mark.parametrize("kind", ["bit", "byte"])
+def test_golden_uint8_fits_take_the_exact_kernels(monkeypatch, kind):
+    features = make_featurizer(kind, None, seed=3).fit_transform(_byte_rows())
+    assert features.dtype == np.uint8
+    seen = {"seed": [], "sums": []}
+    seed_centers, cluster_sums = kmeans_module._seed_centers, _parallel.cluster_sums
+
+    def spy_seed(X, n_clusters, rng, x_sq=None):
+        seen["seed"].append(x_sq is not None)
+        return seed_centers(X, n_clusters, rng, x_sq)
+
+    def spy_sums(X, labels, n_clusters, exact=False):
+        seen["sums"].append(exact)
+        return cluster_sums(X, labels, n_clusters, exact)
+
+    monkeypatch.setattr(kmeans_module, "_seed_centers", spy_seed)
+    monkeypatch.setattr(_parallel, "cluster_sums", spy_sums)
+    KMeans(6, seed=11, **FULL).fit(features)
+    assert seen["seed"] == [True] * FULL["n_init"]
+    assert seen["sums"] and all(seen["sums"])
+    # The float copy of the same features keeps the ordered kernels.
+    seen = {"seed": [], "sums": []}
+    KMeans(6, seed=11, **FAST).fit(features.astype(np.float64))
+    assert seen["seed"] == [False] and not any(seen["sums"])
+
+
+@pytest.mark.parametrize(
+    "n_rows, n_features",
+    [(40, 16), (33, 4096), (9, 32768)],
+    ids=["16-bytes", "4096-byte-features", "32768-bit-features"],
+)
+def test_exact_distances_equal_unblocked_einsum(n_rows, n_features):
+    rng = np.random.default_rng(n_features)
+    X = _extreme_uint8(rng, n_rows, n_features)
+    if n_features == 32768:
+        X = np.unpackbits(X[:, : n_features // 8], axis=1)
+    X = X.astype(np.float64)
+    x_sq = _parallel.row_sq_norms(X)
+    for idx in (0, 1, n_rows - 1):  # an all-0xFF, an all-zero, a random row
+        got = kmeans_module._exact_sq_distances(X, x_sq, idx)
+        assert got.tobytes() == _unblocked_sq_distances(X, X[idx]).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["bit", "byte"])
+def test_exact_seeding_picks_what_float_seeding_picks(kind):
+    X = make_featurizer(kind).fit_transform(
+        _extreme_uint8(np.random.default_rng(6), 300, 24)
+    )
+    got = kmeans_plus_plus(X, 8, np.random.default_rng(4))
+    want = kmeans_plus_plus(X.astype(np.float64), 8, np.random.default_rng(4))
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n_features", [1, 2, 40, 4096])
+def test_one_hot_sums_equal_add_at(n_features):
+    rng = np.random.default_rng(n_features)
+    X = _extreme_uint8(rng, 700, n_features).astype(np.float64)
+    labels = rng.integers(0, 9, size=700)
+    labels[labels == 7] = 8  # cluster 7 comes up empty
+    labels[13] = 9  # cluster 9 owns one row
+
+    sums, counts = _parallel.cluster_sums(X, labels, 10, exact=True)
+
+    expected = np.zeros((10, n_features))
+    np.add.at(expected, labels, X)
+    assert sums.tobytes() == expected.tobytes()
+    assert counts[7] == 0 and counts[9] == 1
+    assert not sums[7].any()
+    ordered, _ = _parallel.cluster_sums(X, labels, 10)
+    assert sums.tobytes() == ordered.tobytes()
+
+
+@pytest.mark.parametrize("n_rows", [1, 31, 32, 33, 100, 257])
+@pytest.mark.parametrize("dtype", ["float", "uint8"])
+def test_blocked_variance_equals_np_var(blocks_of_32_rows, n_rows, dtype):
+    rng = np.random.default_rng(n_rows)
+    if dtype == "float":
+        X = _wild(rng, n_rows, 7)
+    else:
+        X = _extreme_uint8(rng, n_rows, 7)
+    got = kmeans_module._column_variance(X)
+    assert got.tobytes() == np.var(X, axis=0).tobytes()
+
+
+@pytest.mark.parametrize("n_features", [1, 700, 32768])
+def test_default_block_variance_equals_np_var(n_features):
+    rng = np.random.default_rng(n_features)
+    X = _extreme_uint8(rng, 301, n_features)
+    for data in (X, X.astype(np.float64) / 3.0):
+        got = kmeans_module._column_variance(data)
+        assert got.tobytes() == np.var(data, axis=0).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["bit", "byte"])
+def test_uint8_fit_equals_float_fit(kind):
+    """The exact kernels and the ordered float kernels fit the same bits."""
+    features = make_featurizer(kind).fit_transform(_byte_rows())
+    exact = _fit_digest(features, 6, **FULL)
+    assert exact == _fit_digest(features.astype(np.float64), 6, **FULL)
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="n_jobs > 1 needs the fork start method",
+)
+@pytest.mark.parametrize("kind", ["bit", "byte"])
+def test_uint8_parallel_restarts_equal_serial(kind):
+    features = make_featurizer(kind).fit_transform(_byte_rows())
+    assert features.dtype == np.uint8
+    serial = _fit_digest(features, 6, n_jobs=1, **FULL)
+    assert _fit_digest(features, 6, n_jobs=2, **FULL) == serial
