@@ -44,14 +44,7 @@ class DRAMHashIndex(KeyIndex):
         matrix's bytes, so trailing NUL bytes stay part of the key.
         """
         keys = np.ascontiguousarray(keys, dtype=np.uint8)
-        if keys.ndim != 2 or keys.shape[1] != self.key_bytes:
-            raise ValueError(
-                f"expected a (n, {self.key_bytes}) key matrix, got {keys.shape}"
-            )
-        if keys.shape[0] != len(addresses):
-            raise ValueError(
-                f"{keys.shape[0]} keys for {len(addresses)} addresses"
-            )
+        assert keys.shape == (len(addresses), self.key_bytes), keys.shape
         blob, width = keys.tobytes(), self.key_bytes
         self._map.update(
             (blob[start : start + width], address)

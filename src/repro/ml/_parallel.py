@@ -24,9 +24,13 @@ and byte encodings) marks the fit *exact*: its products and partial
 sums are integers below 2**53 — a row's ``|x|^2`` is at most
 ``255**2 * n_features``, a cluster's sum at most ``255 * n_samples`` —
 so float64 computes them without rounding in any order, and the
-seeding and ``cluster_sums`` may use BLAS products instead of their
-ordered loops.  Float input could round differently in another order,
+k-means++ seeding may use one GEMV per centre instead of its ordered
+``X - c`` loop.  Float input could round differently in another order,
 and wider integers could pass 2**53, so only ``uint8`` qualifies.
+``cluster_sums`` keeps its ordered row sums for every input: a one-hot
+GEMM would give the same bits on ``uint8`` input, but it costs
+``K * n * d`` multiply-adds against the ``n * d`` of the row sums, so it
+only wins at small ``K``.
 """
 
 from __future__ import annotations
@@ -69,7 +73,7 @@ def row_sq_norms(X: np.ndarray) -> np.ndarray:
 
 
 def cluster_sums(
-    X: np.ndarray, labels: np.ndarray, n_clusters: int, exact: bool = False
+    X: np.ndarray, labels: np.ndarray, n_clusters: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-cluster ``(row sums, member counts)`` of an assignment.
 
@@ -79,16 +83,9 @@ def cluster_sums(
     An axis-0 reduction of a C-ordered matrix adds whole rows left to
     right; a single column would be reduced pairwise instead, so that
     shape goes through ``bincount``, which also accumulates in order.
-
-    ``exact`` says ``X`` holds ``uint8`` values, whose sums are exact
-    integers in any order: then one one-hot GEMM, ``(K x n) @ (n x d)``,
-    forms every sum at once, with the same bits.
+    The same kernel serves the exact ``uint8`` fits (module docstring).
     """
     counts = np.bincount(labels, minlength=n_clusters).astype(np.float64)
-    if exact:
-        onehot = np.zeros((n_clusters, X.shape[0]), dtype=np.float64)
-        onehot[labels, np.arange(X.shape[0])] = 1.0
-        return onehot @ X, counts
     sums = np.zeros((n_clusters, X.shape[1]), dtype=np.float64)
     if X.shape[1] == 1:
         sums[:, 0] = np.bincount(labels, weights=X[:, 0], minlength=n_clusters)
@@ -176,7 +173,7 @@ def _lloyd(
     iteration = 0
     for iteration in range(1, max_iter + 1):
         labels, sse = assign_labels(X, centers, x_sq)
-        sums, counts = cluster_sums(X, labels, n_clusters, exact)
+        sums, counts = cluster_sums(X, labels, n_clusters)
         history.append(sse)
         new_centers = centers.copy()
         nonempty = counts > 0

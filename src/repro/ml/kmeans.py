@@ -16,11 +16,11 @@ estimator surface on numpy:
 The input dtype picks the kernels.  The bit and byte featurizers hand
 the fit ``uint8`` matrices: every product and partial sum of their
 values is an integer far below 2**53, so float64 arithmetic on them is
-exact in any order, and seeding distances and centroid sums go through
-BLAS products (``|x|^2 + |c|^2 - 2 x.c``, a one-hot GEMM) that give the
-same bits as the ordered kernels.  Any other input (PCA projections,
-Gaussian test data) is converted to float64 and keeps the kernels whose
-float operations run in a fixed order.
+exact in any order, and each k-means++ seeding distance is one GEMV,
+``|x|^2 + |c|^2 - 2 x.c``, that gives the same bits as the ordered
+kernel.  Any other input (PCA projections, Gaussian test data) is
+converted to float64 and keeps the seeding whose float operations run
+in a fixed order.  The Lloyd passes run the same kernels for both.
 
 All randomness flows through a caller-supplied seed, so experiments are
 exactly reproducible.
@@ -31,7 +31,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import NotFittedError
-from ._parallel import assign_labels, row_sq_norms, run_restarts
+from ._parallel import assign_labels, run_restarts
 
 __all__ = ["KMeans", "MiniBatchKMeans", "kmeans_plus_plus"]
 
@@ -105,23 +105,24 @@ def _seed_centers(
     rng: np.random.Generator,
     x_sq: np.ndarray | None = None,
 ) -> np.ndarray:
-    """k-means++ on float64 ``X``.
+    """:func:`kmeans_plus_plus`, optionally on the exact distances.
 
-    With ``x_sq`` (the rows' ``|x|^2``) given, ``X`` holds ``uint8``
-    values and each distance is :func:`_exact_sq_distances`; otherwise
-    it is the blocked :func:`_sq_distances`.  Both give the same bits.
+    With ``x_sq`` (the rows' ``|x|^2``) given, ``X`` is the float64 copy
+    of ``uint8`` values and each distance is :func:`_exact_sq_distances`;
+    otherwise it is the blocked :func:`_sq_distances`.  Both give the
+    same bits.
     """
     n = X.shape[0]
 
-    def distances(idx: int) -> np.ndarray:
+    def distances(center: np.ndarray, idx: int) -> np.ndarray:
         if x_sq is None:
-            return _sq_distances(X, X[idx])
+            return _sq_distances(X, center)
         return _exact_sq_distances(X, x_sq, idx)
 
     centers = np.empty((n_clusters, X.shape[1]), dtype=np.float64)
     first = int(rng.integers(n))
     centers[0] = X[first]
-    closest_d2 = distances(first)
+    closest_d2 = distances(centers[0], first)
     for i in range(1, n_clusters):
         total = closest_d2.sum()
         if total <= 0.0:
@@ -131,7 +132,7 @@ def _seed_centers(
         else:
             idx = int(rng.choice(n, p=closest_d2 / total))
         centers[i] = X[idx]
-        np.minimum(closest_d2, distances(idx), out=closest_d2)
+        np.minimum(closest_d2, distances(centers[i], idx), out=closest_d2)
     return centers
 
 
@@ -142,12 +143,8 @@ def kmeans_plus_plus(
 
     Picks the first centroid uniformly, then each subsequent centroid with
     probability proportional to its squared distance from the nearest
-    centroid chosen so far.  ``uint8`` input takes the exact GEMV
-    distances; the centroids are the same either way.
+    centroid chosen so far.
     """
-    if X.dtype == np.uint8:
-        X = X.astype(np.float64)
-        return _seed_centers(X, n_clusters, rng, row_sq_norms(X))
     return _seed_centers(X, n_clusters, rng)
 
 

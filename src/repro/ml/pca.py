@@ -156,7 +156,12 @@ class PCA:
         return (X - self.mean_) @ self.components_.T
 
     def fit_transform(self, X: np.ndarray) -> np.ndarray:
-        """Fit on ``X`` and return its projection."""
+        """Fit on ``X`` and return its projection.
+
+        ``X`` is converted to float64 once, for both steps (the featurizers
+        hand PCA their ``uint8`` encodings).
+        """
+        X = np.ascontiguousarray(X, dtype=np.float64)
         return self.fit(X).transform(X)
 
     def inverse_transform(self, Z: np.ndarray) -> np.ndarray:

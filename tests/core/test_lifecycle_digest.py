@@ -2,8 +2,7 @@
 integer K-Means kernels.
 
 The bit and byte featurizers hand the fit ``uint8`` matrices, which take
-the exact seeding and one-hot centroid-sum kernels, and ``recover()``
-rebuilds the DRAM index in one bulk insert.  None of that may change a
+the exact GEMV seeding distances, and ``recover()`` rebuilds the DRAM index in one bulk insert.  None of that may change a
 durable byte, an exact counter or a centroid bit.  ``EXPECTED`` holds,
 after each stage of warm_up → put_many → retrain → crash → recover,
 :func:`~tests.conftest.state_digest` plus a digest of the model's

@@ -209,11 +209,3 @@ class TestDRAMHashSpecifics:
         for name in ("bytes_written", "write_ops", "latency_ns"):
             assert getattr(bulk.dram, name) == getattr(loop.dram, name)
         assert bulk.peek(bytes(keys[11])) == addresses[11]
-
-    def test_put_many_rejects_misshapen_keys(self):
-        index = DRAMHashIndex(key_bytes=8)
-        with pytest.raises(ValueError):
-            index.put_many(np.zeros((3, 7), dtype=np.uint8), [0, 1, 2])
-        with pytest.raises(ValueError):
-            index.put_many(np.zeros((3, 8), dtype=np.uint8), [0, 1])
-        assert len(index) == 0

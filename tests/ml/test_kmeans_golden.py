@@ -23,12 +23,12 @@ that contract:
   unblocked ``einsum``.
 
 The bit and byte featurizers return ``uint8`` matrices, and the fit
-sends those through exact integer kernels (GEMV seeding distances, a
-one-hot GEMM for the centroid sums) instead of the ordered float ones.
-The ``bit/*`` and ``byte/*`` goldens were generated before those kernels
-existed and still pass through them unchanged; the last section checks
-that they really take that path and states each exact kernel against
-its oracle on the largest values a ``uint8`` row can hold.
+seeds those with exact integer GEMV distances instead of the ordered
+float ones.  The ``bit/*`` and ``byte/*`` goldens were generated before
+that kernel existed and still pass through it unchanged; the last
+section checks that they really take that path and states each kernel
+an exact fit runs against its oracle on the largest values a ``uint8``
+row can hold.
 """
 
 from __future__ import annotations
@@ -271,26 +271,20 @@ def _extreme_uint8(rng: np.random.Generator, n: int, m: int) -> np.ndarray:
 def test_golden_uint8_fits_take_the_exact_kernels(monkeypatch, kind):
     features = make_featurizer(kind, None, seed=3).fit_transform(_byte_rows())
     assert features.dtype == np.uint8
-    seen = {"seed": [], "sums": []}
-    seed_centers, cluster_sums = kmeans_module._seed_centers, _parallel.cluster_sums
+    seen = []
+    seed_centers = kmeans_module._seed_centers
 
     def spy_seed(X, n_clusters, rng, x_sq=None):
-        seen["seed"].append(x_sq is not None)
+        seen.append(x_sq is not None)
         return seed_centers(X, n_clusters, rng, x_sq)
 
-    def spy_sums(X, labels, n_clusters, exact=False):
-        seen["sums"].append(exact)
-        return cluster_sums(X, labels, n_clusters, exact)
-
     monkeypatch.setattr(kmeans_module, "_seed_centers", spy_seed)
-    monkeypatch.setattr(_parallel, "cluster_sums", spy_sums)
     KMeans(6, seed=11, **FULL).fit(features)
-    assert seen["seed"] == [True] * FULL["n_init"]
-    assert seen["sums"] and all(seen["sums"])
-    # The float copy of the same features keeps the ordered kernels.
-    seen = {"seed": [], "sums": []}
+    assert seen == [True] * FULL["n_init"]
+    # The float copy of the same features keeps the ordered seeding.
+    seen.clear()
     KMeans(6, seed=11, **FAST).fit(features.astype(np.float64))
-    assert seen["seed"] == [False] and not any(seen["sums"])
+    assert seen == [False]
 
 
 @pytest.mark.parametrize(
@@ -315,28 +309,28 @@ def test_exact_seeding_picks_what_float_seeding_picks(kind):
     X = make_featurizer(kind).fit_transform(
         _extreme_uint8(np.random.default_rng(6), 300, 24)
     )
-    got = kmeans_plus_plus(X, 8, np.random.default_rng(4))
-    want = kmeans_plus_plus(X.astype(np.float64), 8, np.random.default_rng(4))
+    X = X.astype(np.float64)
+    x_sq = _parallel.row_sq_norms(X)
+    got = kmeans_module._seed_centers(X, 8, np.random.default_rng(4), x_sq)
+    want = kmeans_module._seed_centers(X, 8, np.random.default_rng(4))
     assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("n_features", [1, 2, 40, 4096])
-def test_one_hot_sums_equal_add_at(n_features):
+def test_uint8_cluster_sums_equal_add_at(n_features):
     rng = np.random.default_rng(n_features)
     X = _extreme_uint8(rng, 700, n_features).astype(np.float64)
     labels = rng.integers(0, 9, size=700)
     labels[labels == 7] = 8  # cluster 7 comes up empty
     labels[13] = 9  # cluster 9 owns one row
 
-    sums, counts = _parallel.cluster_sums(X, labels, 10, exact=True)
+    sums, counts = _parallel.cluster_sums(X, labels, 10)
 
     expected = np.zeros((10, n_features))
     np.add.at(expected, labels, X)
     assert sums.tobytes() == expected.tobytes()
     assert counts[7] == 0 and counts[9] == 1
     assert not sums[7].any()
-    ordered, _ = _parallel.cluster_sums(X, labels, 10)
-    assert sums.tobytes() == ordered.tobytes()
 
 
 @pytest.mark.parametrize("n_rows", [1, 31, 32, 33, 100, 257])
@@ -362,7 +356,7 @@ def test_default_block_variance_equals_np_var(n_features):
 
 @pytest.mark.parametrize("kind", ["bit", "byte"])
 def test_uint8_fit_equals_float_fit(kind):
-    """The exact kernels and the ordered float kernels fit the same bits."""
+    """The exact seeding and the ordered float seeding fit the same bits."""
     features = make_featurizer(kind).fit_transform(_byte_rows())
     exact = _fit_digest(features, 6, **FULL)
     assert exact == _fit_digest(features.astype(np.float64), 6, **FULL)
